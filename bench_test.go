@@ -554,7 +554,7 @@ func BenchmarkWorkloadSynthesis(b *testing.B) {
 }
 
 // BenchmarkFaultInjectionRun measures one complete injection experiment
-// (observe + verify runs with golden lockstep).
+// (observe + verify runs against the golden commit log).
 func BenchmarkFaultInjectionRun(b *testing.B) {
 	prof, err := workload.ByName("art")
 	if err != nil {

@@ -63,11 +63,20 @@ func printLatencyHist(w io.Writer, title string, h *obs.Hist) {
 
 // runFault reproduces the paper's Section 4 fault-injection study
 // (Figure 8): random single-bit flips on the decode signals of Table 2,
-// classified against a golden lockstep simulator into the ten outcome
+// classified against the fault-free commit log into the ten outcome
 // categories, plus the optional PC-fault, cache-fault and rename studies.
 func runFault(e *Engine) error {
 	s := e.Spec
 	w := e.out
+
+	for _, study := range []struct {
+		flag string
+		n    int
+	}{{"pc", s.Campaign.PCFaults}, {"cache", s.Campaign.CacheFaults}, {"rename", s.Campaign.RenameFaults}} {
+		if study.n < 0 {
+			return fmt.Errorf("negative %s study count %d (flag -%s, spec field %sFaults)", study.flag, study.n, study.flag, study.flag)
+		}
+	}
 
 	if !detect.Known(s.Detector) {
 		return fmt.Errorf("unknown detector backend %q (have %s)", s.Detector, strings.Join(detect.Names(), ", "))
@@ -258,15 +267,9 @@ func runFault(e *Engine) error {
 					if err != nil {
 						return err
 					}
-					pct := func(o fault.CacheFaultOutcome) float64 {
-						if res.Total == 0 {
-							return 0
-						}
-						return 100 * float64(res.Counts[o]) / float64(res.Total)
-					}
 					fmt.Fprintf(w, "%-10s %-10v %22.1f %18.1f %10.1f %5d\n", p.Name, parity,
-						pct(fault.CacheFalseMachineCheck), pct(fault.CacheParityRepaired),
-						pct(fault.CacheMasked), res.SDC)
+						res.Pct(fault.CacheFalseMachineCheck), res.Pct(fault.CacheParityRepaired),
+						res.Pct(fault.CacheMasked), res.SDC)
 				}
 			}
 			return nil
@@ -289,15 +292,9 @@ func runFault(e *Engine) error {
 				if err != nil {
 					return err
 				}
-				pct := func(n int) float64 {
-					if res.Total == 0 {
-						return 0
-					}
-					return 100 * float64(n) / float64(res.Total)
-				}
 				fmt.Fprintf(w, "%-10s %18.1f %18.1f %14.1f %16.1f %14.1f\n", p.Name,
-					res.SDCWithoutPct(), pct(res.FrontendDetected), res.DetectedPct(),
-					pct(res.RecoveredWithExtension), pct(res.SDCWithExtension))
+					res.SDCWithoutPct(), res.Pct(res.FrontendDetected), res.DetectedPct(),
+					res.Pct(res.RecoveredWithExtension), res.Pct(res.SDCWithExtension))
 			}
 			fmt.Fprintln(w, "(frontend ITR is blind to pure rename-index faults; the rename-signature")
 			fmt.Fprintln(w, " extension closes the gap, per the paper's Section 1 discussion of RNA)")

@@ -207,3 +207,31 @@ func TestEngineRunSpecFile(t *testing.T) {
 		t.Errorf("run without -spec exit = %d; want 1", code)
 	}
 }
+
+// TestFaultRejectsNegativeStudyCounts: a negative -pc, -cache or -rename
+// flag, or the matching spec field, is an error before any campaign runs,
+// not a silently skipped study.
+func TestFaultRejectsNegativeStudyCounts(t *testing.T) {
+	dir := t.TempDir()
+	for _, study := range []string{"pc", "cache", "rename"} {
+		var out, errw bytes.Buffer
+		code := Main([]string{"fault", "-bench", "art", "-faults", "3", "-window", "20000", "-manifest", "none", "-" + study, "-3"}, &out, &errw)
+		if code == 0 || !strings.Contains(errw.String(), "negative "+study+" study count -3") {
+			t.Errorf("-%s -3: exit %d, stderr %q", study, code, errw.String())
+		}
+		if out.Len() != 0 {
+			t.Errorf("-%s -3 ran before rejecting:\n%s", study, out.String())
+		}
+
+		specPath := filepath.Join(dir, study+".json")
+		blob := `{"kind": "fault", "bench": "art", "campaign": {"faults": 3, "window": 20000, "` + study + `Faults": -3}}`
+		if err := os.WriteFile(specPath, []byte(blob), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		errw.Reset()
+		code = Main([]string{"run", "-spec", specPath, "-manifest", "none"}, &out, &errw)
+		if code == 0 || !strings.Contains(errw.String(), study+"Faults") {
+			t.Errorf("spec %sFaults -3: exit %d, stderr %q", study, code, errw.String())
+		}
+	}
+}

@@ -2,21 +2,17 @@ package fault
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"itr/internal/core"
 	"itr/internal/isa"
 	"itr/internal/obs"
-	"itr/internal/pipeline"
 	"itr/internal/program"
 	"itr/internal/stats"
 )
 
 // CampaignConfig parameterizes a Figure 8 campaign on one benchmark.
 type CampaignConfig struct {
-	// Faults is the number of injections (the paper uses 1000 per
-	// benchmark).
+	// Faults is the number of injections (the paper: 1000 per benchmark).
 	Faults int
 	// Seed makes injection sampling reproducible.
 	Seed uint64
@@ -27,30 +23,26 @@ type CampaignConfig struct {
 	// Progress, when non-nil, receives live campaign telemetry. One
 	// Progress may be shared across concurrent campaigns.
 	Progress *Progress
-	// LatencyCycles and LatencyInsts, when non-nil, receive one
-	// observation per detected injection: the machine time from the fault's
-	// decode event to the backend's first detection, in pipeline cycles and
-	// committed instructions respectively. Share one pair per backend to
-	// accumulate a latency distribution across campaigns.
+	// LatencyCycles and LatencyInsts, when non-nil, receive each detected
+	// injection's machine time from its decode event to the first
+	// detection, in cycles and committed instructions. Share one pair per
+	// backend to accumulate a distribution across campaigns.
 	LatencyCycles *obs.Hist
 	LatencyInsts  *obs.Hist
-	// Tracer, when non-nil, records the campaign timeline: the pilot's
-	// snapshot captures and each worker's injection start/classify events,
-	// with the worker's pipeline events interleaved on the same ring.
+	// Tracer, when non-nil, records the pilot's snapshot captures and each
+	// worker's injection events, interleaved with its pipeline events.
 	Tracer *obs.Tracer
 }
 
-// Progress accumulates live campaign telemetry across injection workers and
-// benchmarks. Injections is sharded per worker and merged on read, so a
-// progress ticker can read it while the campaign runs without making the
-// workers contend. Pair it with a pipeline.Probe on
+// Progress accumulates live campaign telemetry across workers and
+// benchmarks; its counters are sharded per worker, so a ticker can read them
+// mid-campaign without contention. Pair it with a pipeline.Probe on
 // Experiment.Pipeline.Probe for cycle/decode/restore counts.
 type Progress struct {
 	// Injections counts completed injection experiments.
 	Injections obs.Counter
-	// CyclesSimulated and CyclesSaved mirror the campaign Budget live: the
-	// pipeline cycles injections actually simulated, and the window cycles
-	// the decided-outcome engine skipped (zero under Config.Exact).
+	// CyclesSimulated and CyclesSaved mirror the campaign Budget live
+	// (CyclesSaved is zero under Config.Exact).
 	CyclesSimulated obs.Counter
 	CyclesSaved     obs.Counter
 }
@@ -79,14 +71,11 @@ type CampaignResult struct {
 	// CheckpointRecovered counts detection-only faults (the ITR+SDC+D
 	// class) that the checkpointing extension converted into rollbacks.
 	CheckpointRecovered int
-	// Snapshots is the number of pilot snapshots retained for fast-forward
-	// (after pruning to the ones some injection actually resumes from);
-	// SnapshotPages is the total page count they reference. Snapshot memory
-	// is captured copy-on-write, so consecutive snapshots share unchanged
-	// pages by reference and SnapshotPages counts a shared page once per
-	// snapshot referencing it; SnapshotOwnedPages counts each distinct page
-	// once — the series' actual resident footprint, which page sharing cuts
-	// from SnapshotPages by the reuse factor. All are zero on the cold path.
+	// Snapshots is the number of pilot snapshots some injection resumes
+	// from; SnapshotPages the page references they hold, counting a page
+	// shared copy-on-write once per snapshot; SnapshotOwnedPages the
+	// distinct pages, the series' resident footprint. All are zero on the
+	// cold path.
 	Snapshots          int
 	SnapshotPages      int
 	SnapshotOwnedPages int
@@ -97,12 +86,7 @@ type CampaignResult struct {
 }
 
 // Pct returns the percentage of injections in category c.
-func (r CampaignResult) Pct(c Category) float64 {
-	if r.Total == 0 {
-		return 0
-	}
-	return 100 * float64(r.Counts[c]) / float64(r.Total)
-}
+func (r CampaignResult) Pct(c Category) float64 { return pct(r.Counts[c], r.Total) }
 
 // DetectedPct returns the percentage of injections detected through the ITR
 // cache (the paper reports 95.4% on average).
@@ -115,168 +99,82 @@ func (r CampaignResult) String() string {
 }
 
 // RunCampaign injects cfg.Faults random decode-signal faults into prog and
-// classifies each. Injection points are sampled uniformly over the decode
-// events of a profiling run covering the observation window, so every fault
-// lands with room to be observed.
+// classifies each, sampling injection points over the decode events of the
+// fault-free pilot covering the observation window.
 func RunCampaign(name string, prog *program.Program, cfg CampaignConfig) (CampaignResult, error) {
 	res := CampaignResult{
 		Benchmark: name,
 		Counts:    make(map[Category]int),
 		ByField:   make(map[string]int),
+		Budget:    Budget{ByClass: make(map[Category]ClassBudget)},
 	}
 	if cfg.Faults <= 0 {
 		return res, fmt.Errorf("campaign: non-positive fault count %d", cfg.Faults)
 	}
 
-	// Pilot run: profile the decode-event space once, fault-free, dropping a
-	// resumable snapshot every SnapshotInterval decode events. The pilot uses
-	// the observe run's exact configuration (mode aside, which Restore
-	// ignores) so its snapshots restore into every injection run. A fault-
-	// free machine's trajectory is mode-independent — the checker modes
-	// differ only in how detections are handled — so the decode-event space
-	// matches what any injection run sees up to its fault point.
-	window := cfg.Experiment.WindowCycles
-	interval := cfg.Experiment.EffectiveSnapshotInterval()
-	pilotCfg := cfg.Experiment
-	if cfg.Tracer != nil {
-		pilotCfg.Pipeline.Trace = cfg.Tracer.Ring("fault-pilot")
+	// The pilot runs the observe machine's configuration, so its snapshots
+	// restore into every observe and verify leg.
+	e := newEngine(prog, cfg.Experiment, cfg.Seed)
+	e.tracer = cfg.Tracer
+	if cfg.Workers > 0 {
+		e.workers = cfg.Workers
 	}
-	pilot, err := pipeline.New(prog, pilotCfg.pipelineConfig(core.ModeObserve))
+	e.oracle = NewSigOracle(prog)
+	src, pres, err := e.pilot(cfg.Experiment.pipelineConfig(core.ModeObserve), cfg.Experiment.WindowCycles)
 	if err != nil {
-		return res, fmt.Errorf("campaign pilot: %w", err)
+		return res, fmt.Errorf("campaign %w", err)
 	}
-	var snaps []*pipeline.Snapshot
-	if interval > 0 {
-		next := interval
-		for pilot.CycleCount() < window {
-			pres := pilot.RunUntilDecode(window-pilot.CycleCount(), next)
-			if pres.Termination != pipeline.TermBudget || pilot.CycleCount() >= window {
-				break // machine terminated or window exhausted: pilot done
-			}
-			snaps = append(snaps, pilot.Snapshot())
-			next = pilot.DecodeEvents() + interval
-		}
-	} else {
-		pilot.Run(window)
-	}
-	decodeSpace := pilot.DecodeEvents()
-	if decodeSpace < 100 {
-		return res, fmt.Errorf("campaign: window too small (%d decode events)", decodeSpace)
+	if pres.DecodeEvents < 100 {
+		return res, fmt.Errorf("campaign: window too small (%d decode events)", pres.DecodeEvents)
 	}
 
-	// Sample injections: decode index in the first half of the window so
-	// every fault has at least half the window of observation; bit uniform
-	// over the 64 Table 2 signal bits.
+	// Sample injections: bit uniform over the 64 Table 2 signal bits.
 	rng := stats.NewRNG(cfg.Seed)
-	lo := decodeSpace / 20
-	hi := decodeSpace / 2
-	injections := make([]Injection, cfg.Faults)
+	injections := make([]decodeBit, cfg.Faults)
 	for i := range injections {
-		injections[i] = Injection{
-			DecodeIndex: lo + int64(rng.Uint64n(uint64(hi-lo))),
-			Bit:         rng.Intn(isa.SignalBits),
-		}
+		injections[i].DecodeIndex = decodeSample(rng, pres.DecodeEvents)
+		injections[i].Bit = rng.Intn(isa.SignalBits)
 	}
-
-	// Keep only the snapshots some injection actually resumes from, and
-	// precompute the shared golden commit log covering the pilot's window so
-	// workers rarely contend on extending it.
-	var rc *replayContext
-	if len(snaps) > 0 {
-		used := make([]bool, len(snaps))
-		for _, inj := range injections {
-			if i := nearestSnapshotIdx(snaps, inj.DecodeIndex); i >= 0 {
-				used[i] = true
-			}
-		}
-		kept := make([]*pipeline.Snapshot, 0, len(snaps))
-		for i, s := range snaps {
-			if used[i] {
-				kept = append(kept, s)
-			}
-		}
-		if len(kept) > 0 {
-			stream := NewGoldenStream(prog)
-			if n := pilot.CommittedInsts(); n > 0 {
-				stream.ensure(int(n) - 1)
-			}
-			rc = &replayContext{snaps: kept, stream: stream}
-			res.Snapshots = len(kept)
-			distinct := make(map[uint64]struct{})
-			for _, s := range kept {
-				res.SnapshotPages += s.MemPages()
-				s.VisitMemPages(func(id uint64) { distinct[id] = struct{}{} })
-			}
-			res.SnapshotOwnedPages = len(distinct)
-		}
+	prune(src, injections)
+	e.decodeSources(src.snaps)
+	res.Snapshots = len(src.snaps)
+	distinct := make(map[uint64]struct{})
+	for _, s := range src.snaps {
+		res.SnapshotPages += s.MemPages()
+		s.VisitMemPages(func(id uint64) { distinct[id] = struct{}{} })
 	}
-
-	oracle := NewSigOracle(prog)
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > cfg.Faults {
-		workers = cfg.Faults
-	}
+	res.SnapshotOwnedPages = len(distinct)
 
 	details := make([]Detail, cfg.Faults)
 	budgets := make([]runBudget, cfg.Faults)
-	errs := make([]error, cfg.Faults)
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// One arena per worker: the observe and verify machines are
-			// built once and recycled via Restore across every injection
-			// this worker runs. The worker's ring is single-writer — the
-			// arena machines run on this goroutine, so their pipeline
-			// events interleave with the injection markers safely.
-			wcfg := cfg.Experiment
-			var ring *obs.Ring
-			if cfg.Tracer != nil {
-				ring = cfg.Tracer.Ring(fmt.Sprintf("fault-worker-%d", w))
-				wcfg.Pipeline.Trace = ring
-			}
-			ar := newRunArena(prog, wcfg)
-			for i := range work {
-				inj := injections[i]
-				ring.Emit(obs.EvInjectStart, inj.DecodeIndex, int64(inj.Bit))
-				details[i], errs[i] = runOne(prog, oracle, wcfg, inj, rc, ar, &budgets[i])
-				d := details[i]
-				detected := int64(0)
-				if errs[i] == nil && d.Detected {
-					detected = 1
-					if d.LatencyCycles >= 0 {
-						if cfg.LatencyCycles != nil {
-							cfg.LatencyCycles.Observe(d.LatencyCycles)
-						}
-						if cfg.LatencyInsts != nil {
-							cfg.LatencyInsts.Observe(d.LatencyInsts)
-						}
-					}
-				}
-				ring.Emit(obs.EvInjectClassify, inj.DecodeIndex, detected)
-				if cfg.Progress != nil {
-					cfg.Progress.Injections.AddAt(uint32(w), 1)
-					cfg.Progress.CyclesSimulated.AddAt(uint32(w), budgets[i].simulated)
-					cfg.Progress.CyclesSaved.AddAt(uint32(w), budgets[i].saved)
-				}
-			}
-		}(w)
+	err = pool(e, injections, func(a *arena, i int) error {
+		inj := Injection(injections[i])
+		a.ring.Emit(obs.EvInjectStart, inj.DecodeIndex, int64(inj.Bit))
+		d, err := e.runOne(a, inj, &budgets[i])
+		details[i] = d
+		detected := int64(0)
+		if err == nil && d.Detected {
+			detected = 1
+		}
+		if err == nil && d.LatencyCycles >= 0 && cfg.LatencyCycles != nil {
+			cfg.LatencyCycles.Observe(d.LatencyCycles)
+		}
+		if err == nil && d.LatencyInsts >= 0 && cfg.LatencyInsts != nil {
+			cfg.LatencyInsts.Observe(d.LatencyInsts)
+		}
+		a.ring.Emit(obs.EvInjectClassify, inj.DecodeIndex, detected)
+		if cfg.Progress != nil {
+			cfg.Progress.Injections.AddAt(a.shard, 1)
+			cfg.Progress.CyclesSimulated.AddAt(a.shard, budgets[i].simulated)
+			cfg.Progress.CyclesSaved.AddAt(a.shard, budgets[i].saved)
+		}
+		return err
+	})
+	if err != nil {
+		return res, err
 	}
-	for i := range injections {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
 
 	for i, d := range details {
-		if errs[i] != nil {
-			return res, fmt.Errorf("fault %d: %w", i, errs[i])
-		}
 		res.Total++
 		res.Counts[d.Category]++
 		res.ByField[d.Injection.Field()]++

@@ -18,11 +18,9 @@ import (
 // whatever architectural state it reached, and each classification fact
 // either is already final or is provable final:
 //
-//   - Deadlock: the watchdog can only starve while a corrupted uop stalls the
-//     ROB (a faithful decode never yields an unsatisfiable resource — see
-//     isa sweep tests). A stalled corrupted uop keeps the drain condition
-//     false, so the probe loop keeps simulating until the watchdog actually
-//     fires; after drain, no deadlock can occur.
+//   - Deadlock: only a stalled corrupted uop can starve the watchdog (a
+//     faithful decode never yields an unsatisfiable resource), and it keeps
+//     the drain condition false until the watchdog fires.
 //   - SpcFired: the sequential-PC check fires at most one commit after a
 //     corrupted control commit; one clean commit past the drain point
 //     settles it.
@@ -35,12 +33,13 @@ import (
 //     signature cache against the oracle rules out future events.
 //
 // Anything the proof cannot establish falls back to simulating the rest of
-// the window, so the fast path is never less sound than the exact one.
+// the window, so the fast path is never less sound than the exact one. The
+// argument covers only a single corrupted decode event, so PC, rename and
+// cache legs always run their window to completion.
 const (
-	// decideProbeCycles is the simulation chunk between decision probes.
-	// Small enough that a settled run stops within ~1% of the paper's
-	// window, large enough that probe overhead (a handful of counter reads,
-	// usually) vanishes against simulation cost.
+	// decideProbeCycles is the simulation chunk between decision probes:
+	// a settled run stops within ~1% of the paper's window, and probe
+	// overhead vanishes against simulation cost.
 	decideProbeCycles = 512
 
 	// preFaultMargin is how many decode events before the injection the
@@ -51,15 +50,13 @@ const (
 	preFaultMargin = 64
 
 	// faultySweepBackoff throttles the ITR cache sweep while a faulty
-	// signature is resident: the line can only stop blocking the decision
-	// via eviction or detection, both rare, so re-auditing every probe
-	// would waste the sweep's oracle lookups.
+	// signature is resident: only a rare eviction or detection can clear
+	// it, so re-auditing every probe would waste oracle lookups.
 	faultySweepBackoff = 8
 )
 
-// runBudget records one injection's simulation work for the campaign's
-// cycles-saved accounting. It deliberately lives outside Detail so the
-// decided-outcome engine never perturbs classification payloads.
+// runBudget records one injection's simulation work, outside Detail so the
+// accounting never perturbs classification payloads.
 type runBudget struct {
 	simulated     int64 // cycles actually simulated (observe + verify)
 	saved         int64 // window cycles skipped by deciding early or forking
@@ -68,16 +65,26 @@ type runBudget struct {
 	proofFallback bool  // a convergence proof failed; run went to completion
 }
 
+// leg accounts one leg's simulated cycles and early-exit savings.
+func (b *runBudget) leg(r *legRun, window int64) {
+	b.simulated += r.cpu.CycleCount() - r.from.Cycle
+	if r.early {
+		b.saved += window - r.cpu.CycleCount()
+	}
+	if r.fellBack {
+		b.proofFallback = true
+	}
+}
+
 // ClassBudget is the per-category slice of Budget.
 type ClassBudget struct {
 	Simulated int64 `json:"simulated"`
 	Saved     int64 `json:"saved"`
 }
 
-// Budget aggregates the decided-outcome engine's work accounting over a
-// campaign: cycles actually simulated versus window cycles skipped, broken
-// down by outcome class (SDCs settle fast — the cursor diverges and sticks —
-// while masked faults pay for their convergence proof).
+// Budget aggregates the decided-outcome engine's work over a campaign:
+// cycles simulated versus window cycles skipped, by outcome class (SDCs
+// settle fast; masked faults pay for their convergence proof).
 type Budget struct {
 	CyclesSimulated int64
 	CyclesSaved     int64
@@ -100,56 +107,40 @@ func (b *Budget) add(r runBudget, cat Category) {
 	if r.proofFallback {
 		b.ProofFallbacks++
 	}
-	if b.ByClass == nil {
-		b.ByClass = make(map[Category]ClassBudget)
-	}
 	cb := b.ByClass[cat]
 	cb.Simulated += r.simulated
 	cb.Saved += r.saved
 	b.ByClass[cat] = cb
 }
 
-// runDecided simulates cpu in probe-sized chunks until the injection's
-// classification facts are settled or the machine genuinely terminates.
-// It returns the final cumulative Result exactly as a single cpu.Run of the
-// whole window would (chunked stepping is trajectory-identical and the
-// Result counters are cumulative), plus whether the run exited early and
-// whether a convergence proof failed.
-//
-// full selects the verify-run rules: the full protocol's retry and
-// machine-check machinery means even already-detected runs must wait for the
-// backend to settle before their recovery facts are final.
-func runDecided(cpu *pipeline.CPU, cur *goldenCursor, stream *GoldenStream, snap *pipeline.Snapshot, oracle *SigOracle, inj Injection, window int64, full bool) (res pipeline.Result, early, fellBack bool) {
+// decide simulates the leg in probe-sized chunks until its classification
+// facts are settled or the machine terminates, leaving in r.res the
+// cumulative Result a single Run of the whole window would have returned.
+// Verify legs (r.full) also wait for the backend to settle even when
+// detected, since the full protocol's retry and machine-check machinery
+// still decides their recovery facts.
+func (d decodeBit) decide(e *engine, r *legRun) {
+	cpu, window := r.cpu, e.cfg.WindowCycles
 	// Everything decoded at or before taintHorizon may carry corrupted
 	// signals: the injected event itself, plus the trace former's open
 	// partial trace, which folds the corrupted signals into a trace event
 	// dispatched up to MaxTraceLen-1 decode events later.
-	taintHorizon := inj.DecodeIndex + isa.MaxTraceLen
+	taintHorizon := d.DecodeIndex + isa.MaxTraceLen
 	cleanCommit := int64(-1)
 	sweepHold := 0
 	for {
-		chunk := window - cpu.CycleCount()
-		if chunk > decideProbeCycles {
-			chunk = decideProbeCycles
-		}
-		if chunk < 0 {
-			chunk = 0
-		}
-		res = cpu.Run(chunk)
-		if res.Termination != pipeline.TermBudget || cpu.CycleCount() >= window {
-			return res, false, false
+		r.res = cpu.Run(max(min(window-cpu.CycleCount(), decideProbeCycles), 0))
+		if r.res.Termination != pipeline.TermBudget || cpu.CycleCount() >= window {
+			return
 		}
 		// Phase 0 — drain: wait until no structure can still hold corrupted
 		// decode signals. A corrupted uop stalling forever keeps us here
 		// until the watchdog terminates the run, which is the sound outcome.
 		if cleanCommit < 0 {
-			if cpu.DecodeEvents() <= taintHorizon {
-				continue
+			oldest, inFlight := cpu.OldestInFlightDecode()
+			if cpu.DecodeEvents() > taintHorizon && (!inFlight || oldest > taintHorizon) {
+				cleanCommit = cpu.CommittedInsts()
 			}
-			if oldest, ok := cpu.OldestInFlightDecode(); ok && oldest <= taintHorizon {
-				continue
-			}
-			cleanCommit = cpu.CommittedInsts()
 			continue
 		}
 		// Phase 1 — one clean commit past the drain point settles the
@@ -160,16 +151,16 @@ func runDecided(cpu *pipeline.CPU, cur *goldenCursor, stream *GoldenStream, snap
 			continue
 		}
 		// Phase 2 — decide.
-		d := cpu.Detector()
-		diverged := cur.diverged
+		det := cpu.Detector()
+		diverged := r.cur.diverged
 		// Observe runs that already detected need no quiescence: detection
 		// is monotone and observe mode never retries. Undetected runs — and
 		// every full-protocol run, whose retry/machine-check resolution is
 		// still in flight — must show the backend can produce no further
 		// event, and (ITR only) that no faulty signature is resident to
 		// seed one later.
-		if full || d.Stats().Mismatches == 0 {
-			if !d.Settled(cleanCommit, diverged) {
+		if r.full || det.Stats().Mismatches == 0 {
+			if !det.Settled(cleanCommit, diverged) {
 				continue
 			}
 			if ck := cpu.Checker(); ck != nil {
@@ -177,26 +168,22 @@ func runDecided(cpu *pipeline.CPU, cur *goldenCursor, stream *GoldenStream, snap
 					sweepHold--
 					continue
 				}
-				if faultyResident(ck, oracle) {
+				if faultyResident(ck, e.oracle) {
 					sweepHold = faultySweepBackoff - 1
 					continue
 				}
 			}
 		}
-		if !diverged {
-			// The cursor never flagged a divergence; prove the machine
-			// actually re-converged with the golden execution, so all
-			// future commits must match it. A failed proof means the
-			// masked verdict is not yet safe: simulate the rest of the
-			// window exactly.
-			if !convergedWithGolden(cpu, stream, snap) {
-				if rest := window - cpu.CycleCount(); rest > 0 {
-					res = cpu.Run(rest)
-				}
-				return res, false, true
-			}
+		// A clean cursor must be backed by a proof that the machine
+		// re-converged with the golden execution, so all future commits
+		// match it; a failed proof simulates the rest of the window exactly.
+		if !diverged && !convergedWithGolden(cpu, e.stream, r.from) {
+			r.res = cpu.Run(max(window-cpu.CycleCount(), 0))
+			r.fellBack = true
+			return
 		}
-		return res, true, false
+		r.early = true
+		return
 	}
 }
 
@@ -213,22 +200,20 @@ func faultyResident(ck *core.Checker, oracle *SigOracle) bool {
 	return faulty
 }
 
-// convergedWithGolden proves the machine's committed architectural state is
-// identical to the fault-free execution at the current commit boundary: it
-// forks the golden architectural state from the run's own start snapshot
-// (whose prefix is fault-free by construction), replays the shared golden
-// outcome log up to the machine's commit count, and compares registers, PC,
-// and — via the copy-on-write generation tags, so untouched pages compare by
-// pointer — the full memory image.
+// convergedWithGolden proves the machine's committed architectural state
+// equals the fault-free execution's at the current commit boundary: it forks
+// the run's own (fault-free) start snapshot, replays the golden log up to the
+// machine's commit count, and compares registers, PC and memory (untouched
+// copy-on-write pages compare by pointer).
 func convergedWithGolden(cpu *pipeline.CPU, stream *GoldenStream, snap *pipeline.Snapshot) bool {
 	committed := cpu.CommittedInsts()
 	if committed <= snap.Committed {
 		return false
 	}
 	st, mem := snap.ArchFork()
-	entries := stream.ensure(int(committed) - 1)
+	log := stream.ensure(int(committed) - 1)
 	for i := snap.Committed; i < committed; i++ {
-		st.ApplyRef(&entries[i].out)
+		st.ApplyRef(&log.at(int(i)).out)
 	}
 	machine := cpu.Committed()
 	if st.R != machine.R || st.F != machine.F || st.PC != machine.PC {

@@ -1,10 +1,11 @@
 // Package fault implements the paper's Section 4 fault-injection
 // methodology: random single-bit flips on the decode signals of one dynamic
-// instruction, a golden (fault-free) simulator run in lockstep with the
-// faulty simulator, and classification of each injection into the ten
-// outcome categories of Figure 8.
+// instruction, each faulty run compared against the fault-free commit log
+// (GoldenStream), and classification into the ten outcome categories of
+// Figure 8. The Section 2.4 ITR-cache, Section 2.5 fetch-PC and rename
+// studies run on the same injection engine (engine.go).
 //
-// Each injection is evaluated with two pipeline runs:
+// Each Figure 8 injection is evaluated with two pipeline runs:
 //
 //   - an *observe* run (core.ModeObserve): ITR records detections but never
 //     recovers, exposing the fault's natural outcome — silent data
@@ -19,7 +20,6 @@ import (
 	"fmt"
 	"sync"
 
-	"itr/internal/cache"
 	"itr/internal/core"
 	"itr/internal/detect"
 	"itr/internal/isa"
@@ -96,10 +96,9 @@ type Detail struct {
 	CheckpointRecovered bool
 }
 
-// SigOracle computes fault-free trace signatures by static walk, memoizing
-// per start PC. It answers "which side of a mismatch was faulty". The walk
-// reads the program's memoized DecodeTable, so each uncached signature costs
-// one XOR per trace instruction.
+// SigOracle computes fault-free trace signatures by static walk over the
+// program's DecodeTable, memoizing per start PC. It answers "which side of a
+// mismatch was faulty".
 type SigOracle struct {
 	tab  *program.DecodeTable
 	mu   sync.Mutex
@@ -133,79 +132,10 @@ func (o *SigOracle) TrueSig(pc uint64) uint64 {
 	return acc.Value()
 }
 
-// golden is the lockstep fault-free reference execution attached to a
-// pipeline's commit stream. It supports snapshot/restore so checkpointed
-// pipelines can rewind the reference alongside the machine.
-type golden struct {
-	st       *isa.ArchState
-	mem      *isa.Memory
-	prog     *program.Program
-	tab      *program.DecodeTable
-	diverged bool
-
-	snapValid    bool
-	snapR        [isa.NumRegs]uint64
-	snapF        [isa.NumRegs]uint64
-	snapPC       uint64
-	snapMem      *isa.Memory
-	snapDiverged bool
-}
-
-func newGolden(prog *program.Program) *golden {
-	mem := isa.NewMemory()
-	g := &golden{st: &isa.ArchState{Mem: mem}, mem: mem, prog: prog, tab: prog.DecodeTable()}
-	g.st.PC = prog.Entry
-	return g
-}
-
-// checkpoint mirrors the pipeline's checkpoint lifecycle: snapshot the
-// reference on take, restore it on rollback. Both sides ride the memory's
-// copy-on-write machinery — capture shares pages by reference and rollback
-// reverts only pages the reference dirtied since — so checkpointed verify
-// runs no longer deep-copy the whole reference footprint per window.
-func (g *golden) checkpoint(taken bool) {
-	if taken {
-		g.snapValid = true
-		g.snapR = g.st.R
-		g.snapF = g.st.F
-		g.snapPC = g.st.PC
-		g.snapMem = g.mem.Snapshot()
-		g.snapDiverged = g.diverged
-		return
-	}
-	if !g.snapValid {
-		return
-	}
-	g.st.R = g.snapR
-	g.st.F = g.snapF
-	g.st.PC = g.snapPC
-	g.mem.CopyFrom(g.snapMem)
-	g.diverged = g.snapDiverged
-}
-
-// observe compares one committed instruction against the reference.
-func (g *golden) observe(pc uint64, o *isa.Outcome) {
-	if g.diverged {
-		return
-	}
-	if pc != g.st.PC {
-		g.diverged = true
-		return
-	}
-	var want isa.Outcome
-	g.st.ExecInto(&want, g.tab.Signals(pc), pc)
-	g.st.ApplyRef(&want)
-	if !o.SameArchEffect(&want) {
-		g.diverged = true
-	}
-}
-
 // DefaultSnapshotInterval is the decode-event spacing of pilot snapshots
-// when Config.SnapshotInterval is zero. Smaller intervals skip more of the
-// fault-free prefix per injection at the cost of more pilot snapshots held
-// in memory. Captures are copy-on-write (pages shared, machine state deep),
-// so the spacing is tuned for the resume gap — an injection re-simulates
-// half the interval on average before its fault fires — not capture cost.
+// when Config.SnapshotInterval is zero. Captures are copy-on-write, so the
+// spacing is tuned for the resume gap — an injection re-simulates half the
+// interval on average before its fault fires — not capture cost.
 const DefaultSnapshotInterval = 2048
 
 // Config parameterizes a single-injection experiment.
@@ -218,28 +148,24 @@ type Config struct {
 	// extension in the verify run, upgrading detection-only machine checks
 	// into rollbacks when the corruption postdates the last checkpoint.
 	Checkpoint bool
-	// SnapshotInterval controls the campaign's snapshot fast-forward: the
-	// fault-free pilot drops a resumable machine snapshot every
-	// SnapshotInterval decode events, and each injection resumes from the
-	// nearest snapshot before its fault point instead of re-simulating the
-	// shared prefix. 0 means DefaultSnapshotInterval; negative disables the
-	// fast path entirely (every run starts cold). Results are bit-identical
-	// either way. EffectiveSnapshotInterval resolves the semantics.
+	// SnapshotInterval is the decode-event spacing of every study's pilot
+	// snapshots, which injections resume from instead of re-simulating the
+	// shared fault-free prefix. 0 means DefaultSnapshotInterval; negative
+	// disables the fast path (every run starts cold). Results are
+	// bit-identical either way.
 	SnapshotInterval int64
-	// Exact disables the decided-outcome engine, forcing every injection
-	// run to simulate its full observation window — the byte-identical
-	// reference path. The default (false) lets snapshot-resumed runs stop
-	// as soon as their classification is settled; their Detail payloads may
-	// then differ in category-irrelevant facts (Halted, and FaultyResident
-	// on detected runs), but categories, counts, and recovery verdicts are
-	// identical — the invariant the classification-identity tests pin.
+	// Exact disables the decided-outcome engine, forcing every Figure 8
+	// injection to simulate its full window — the byte-identical reference
+	// path. By default snapshot-resumed runs stop once their classification
+	// is settled; their Details may then differ in category-irrelevant facts
+	// (Halted, and FaultyResident on detected runs), never in categories,
+	// counts or recovery verdicts.
 	Exact bool
 }
 
 // EffectiveSnapshotInterval resolves the SnapshotInterval convention in one
-// place (flag help, campaign, and manifest all defer to it): zero maps to
-// DefaultSnapshotInterval, a negative value disables the fast path and
-// resolves to 0, and a positive value is used as-is.
+// place: zero maps to DefaultSnapshotInterval, a negative value disables the
+// fast path and resolves to 0, and a positive value is used as-is.
 func (c Config) EffectiveSnapshotInterval() int64 {
 	switch {
 	case c.SnapshotInterval == 0:
@@ -253,10 +179,8 @@ func (c Config) EffectiveSnapshotInterval() int64 {
 
 // pipelineConfig returns the study's pipeline configuration with the
 // detection backend enabled in the given mode. Every machine the fault
-// studies build goes through here — observe and verify runs, campaign
-// pilots, profiling passes — so the backend selection riding in
-// Config.Pipeline (Detector, DetectorOpts) reaches all of them identically,
-// and the ITR-field overriding lives in exactly one place.
+// studies build starts here, so the backend selection riding in
+// Config.Pipeline (Detector, DetectorOpts) reaches all of them identically.
 func (c Config) pipelineConfig(mode core.Mode) pipeline.Config {
 	pcfg := c.Pipeline
 	pcfg.ITREnabled = true
@@ -278,326 +202,126 @@ func DefaultConfig() Config {
 }
 
 // RunOne performs one injection experiment and classifies it, simulating
-// from cycle 0 (the cold path; campaigns use the snapshot fast path via
-// RunCampaign).
+// from cycle 0 (campaigns resume from pilot snapshots via RunCampaign).
 func RunOne(prog *program.Program, oracle *SigOracle, cfg Config, inj Injection) (Detail, error) {
-	return runOne(prog, oracle, cfg, inj, nil, nil, nil)
+	e := newEngine(prog, cfg, 0)
+	e.oracle = oracle
+	e.decodeSources(nil)
+	return e.runOne(&arena{}, inj, &runBudget{})
 }
 
-// runArena holds one campaign worker's reusable machines. Building a
-// pipeline allocates every component a run touches — slot columns, predictor
-// tables, ITR cache and ROB, fetch queue — so a campaign that built two
-// fresh machines per injection spent a visible slice of its time and almost
-// all of its allocations on setup that Restore makes redundant: restoring a
-// snapshot (a pilot resume point, or the machine's own cycle-0 image for a
-// cold start) rewrites the complete mutable state in place, bit-identically.
-// The arena keeps one observe-mode and one verify-mode CPU per worker and
-// recycles them across every injection the worker runs.
-//
-// An arena is single-threaded (each worker owns one); the machines it hands
-// out carry whatever hooks and observers the previous run installed, so
-// runOne (re)sets every hook it depends on at the start of each run.
-type runArena struct {
-	prog *program.Program
-	cfg  Config
-
-	observe  *pipeline.CPU
-	observe0 *pipeline.Snapshot // observe's pristine cycle-0 image
-	verify   *pipeline.CPU
-	verify0  *pipeline.Snapshot
+// decodeSources sets the Figure 8 machines. Verify legs resume from observe
+// snapshots except under checkpointing, whose prefix they cannot reproduce.
+func (e *engine) decodeSources(snaps []*pipeline.Snapshot) {
+	e.observe = &source{cfg: e.cfg.pipelineConfig(core.ModeObserve), snaps: snaps}
+	e.verify = &source{cfg: e.cfg.pipelineConfig(core.ModeFull)}
+	e.verify.cfg.CheckpointEnabled = e.cfg.Checkpoint
+	if !e.cfg.Checkpoint {
+		e.verify.snaps = snaps
+	}
 }
 
-// newRunArena returns an empty arena for one worker; machines are built on
-// first use so a campaign whose injections never verify (or never run cold)
-// never pays for what it doesn't touch.
-func newRunArena(prog *program.Program, cfg Config) *runArena {
-	return &runArena{prog: prog, cfg: cfg}
-}
+// decodeBit is the Figure 8 target: flip Bit of the decode signals of
+// decode event DecodeIndex.
+type decodeBit Injection
 
-// observeCPU returns the reusable observe-mode machine, reset to snap (or to
-// its cycle-0 image when snap is nil).
-func (a *runArena) observeCPU(snap *pipeline.Snapshot) (*pipeline.CPU, error) {
-	if a.observe == nil {
-		cpu, err := pipeline.New(a.prog, a.cfg.pipelineConfig(core.ModeObserve))
-		if err != nil {
-			return nil, err
+func (d decodeBit) precedes(s *pipeline.Snapshot) bool { return s.DecodeEvents < d.DecodeIndex }
+
+// run arms the flip and runs the window. A leg resumed from a snapshot
+// stops once its classification is settled (decide.go) unless the study is
+// exact. An observe leg that will be verified first runs hook-free to just
+// before the fault and captures the verify leg's fork point there (not under
+// checkpointing, which makes forked verify runs unsound).
+func (d decodeBit) run(e *engine, r *legRun) error {
+	cpu, window := r.cpu, e.cfg.WindowCycles
+	decide := r.resumed && !e.cfg.Exact
+	if decide && !r.full && e.cfg.Verify && !e.cfg.Checkpoint {
+		if stop := d.DecodeIndex - preFaultMargin; stop > r.from.DecodeEvents {
+			pres := cpu.RunUntilDecode(window-r.from.Cycle, stop)
+			if pres.Termination == pipeline.TermBudget && cpu.DecodeEvents() < d.DecodeIndex {
+				r.fork = cpu.Snapshot()
+			}
 		}
-		a.observe = cpu
-		a.observe0 = cpu.Snapshot()
 	}
-	if snap == nil {
-		snap = a.observe0
-	}
-	if err := a.observe.Restore(snap); err != nil {
-		return nil, err
-	}
-	return a.observe, nil
-}
-
-// verifyCPU is observeCPU for the full-protocol machine (ModeFull, plus the
-// campaign's checkpointing setting).
-func (a *runArena) verifyCPU(snap *pipeline.Snapshot) (*pipeline.CPU, error) {
-	if a.verify == nil {
-		pcfg := a.cfg.pipelineConfig(core.ModeFull)
-		pcfg.CheckpointEnabled = a.cfg.Checkpoint
-		cpu, err := pipeline.New(a.prog, pcfg)
-		if err != nil {
-			return nil, err
+	// The hook flips the bit once, stamps the time, and uninstalls itself.
+	cpu.SetFaultHook(func(i int64, pc uint64, wrongPath bool, sig isa.DecodeSignals) isa.DecodeSignals {
+		if i != d.DecodeIndex {
+			return sig
 		}
-		a.verify = cpu
-		a.verify0 = cpu.Snapshot()
-	}
-	if snap == nil {
-		snap = a.verify0
-	}
-	if err := a.verify.Restore(snap); err != nil {
-		return nil, err
-	}
-	return a.verify, nil
-}
-
-// runOne performs one injection experiment and classifies it. When rc is
-// non-nil and holds a snapshot taken before the injection's decode event,
-// both the observe and verify runs fast-forward: the machine resumes from
-// the snapshot and the golden reference is a cursor over the shared
-// precomputed commit log. The resumed trajectory is bit-identical to the
-// cold one — the snapshot captures the complete machine state and the fault
-// fires strictly after it.
-//
-// Snapshot-resumed runs additionally use the decided-outcome engine (see
-// decide.go) unless cfg.Exact is set: the observe run stops as soon as the
-// classification is settled, and the verify run forks from a pre-fault
-// capture of the observe machine instead of re-simulating the detect-free
-// prefix. bud, when non-nil, receives the run's simulated/saved cycle
-// accounting.
-func runOne(prog *program.Program, oracle *SigOracle, cfg Config, inj Injection, rc *replayContext, ar *runArena, bud *runBudget) (Detail, error) {
-	det := Detail{Injection: inj, LatencyCycles: -1, LatencyInsts: -1}
-	snap := rc.nearest(inj.DecodeIndex)
-
-	// ---- observe run: natural outcome + detection facts ----
-	var cpu *pipeline.CPU
-	var err error
-	if ar != nil {
-		cpu, err = ar.observeCPU(snap)
+		r.at = &pipeline.DetectionStamp{Cycle: cpu.CycleCount(), Committed: cpu.CommittedInsts()}
+		cpu.SetFaultHook(nil)
+		return sig.FlipBit(d.Bit)
+	})
+	if decide {
+		d.decide(e, r)
 	} else {
-		cpu, err = pipeline.New(prog, cfg.pipelineConfig(core.ModeObserve))
-		if err == nil && snap != nil {
-			err = cpu.Restore(snap)
-		}
+		r.res = cpu.Run(window - r.from.Cycle)
 	}
+	return nil
+}
+
+// runOne performs one Figure 8 injection: an observe leg, then, for detected
+// faults, a verify leg. bud receives the legs' cycle accounting.
+func (e *engine) runOne(a *arena, inj Injection, bud *runBudget) (Detail, error) {
+	det := Detail{Injection: inj, LatencyCycles: -1, LatencyInsts: -1}
+	r, err := a.leg(e, e.observe, decodeBit(inj), nil)
 	if err != nil {
 		return det, fmt.Errorf("observe run: %w", err)
 	}
-	budget := cfg.WindowCycles
-	var diverged func() bool
-	var cur *goldenCursor
-	if snap != nil {
-		cur = rc.stream.cursor(int(snap.Committed))
-		cpu.SetCommitObserver(cur.observe)
-		diverged = func() bool { return cur.diverged }
-		budget = cfg.WindowCycles - snap.Cycle
-	} else {
-		g := newGolden(prog)
-		cpu.SetCommitObserver(g.observe)
-		diverged = func() bool { return g.diverged }
-	}
-	fast := snap != nil && !cfg.Exact
-	var injPt injectionPoint
-	var presnap *pipeline.Snapshot
-	var res pipeline.Result
-	if fast {
-		// Pre-fault leg: advance hook-free to just before the fault's
-		// decode event and capture the verify run's fork point. The prefix
-		// is fault-free, so splitting the run here is trajectory-invisible;
-		// the capture is skipped when checkpointing makes forked verify
-		// runs unsound, or when the fault lands too close to the snapshot
-		// for the fork to skip anything.
-		cpu.SetFaultHook(nil)
-		if cfg.Verify && !cfg.Checkpoint {
-			if stop := inj.DecodeIndex - preFaultMargin; stop > snap.DecodeEvents {
-				pres := cpu.RunUntilDecode(budget, stop)
-				if pres.Termination == pipeline.TermBudget && cpu.DecodeEvents() < inj.DecodeIndex {
-					presnap = cpu.Snapshot()
-				}
-			}
-		}
-		cpu.SetFaultHook(hook(inj, cpu, &injPt))
-		var early, fellBack bool
-		res, early, fellBack = runDecided(cpu, cur, rc.stream, snap, oracle, inj, cfg.WindowCycles, false)
-		if bud != nil {
-			bud.simulated += cpu.CycleCount() - snap.Cycle
-			if early {
-				bud.saved += cfg.WindowCycles - cpu.CycleCount()
-				bud.decidedEarly = true
-			}
-			if fellBack {
-				bud.proofFallback = true
-			}
-		}
-	} else {
-		cpu.SetFaultHook(hook(inj, cpu, &injPt))
-		res = cpu.Run(budget)
-		if bud != nil {
-			start := int64(0)
-			if snap != nil {
-				start = snap.Cycle
-			}
-			bud.simulated += cpu.CycleCount() - start
-		}
-	}
-
-	det.NaturalSDC = diverged()
-	det.Deadlock = res.Termination == pipeline.TermDeadlock
-	det.Halted = res.Termination == pipeline.TermHalt
-	det.SpcFired = res.SpcFired > 0
+	bud.leg(r, e.cfg.WindowCycles)
+	bud.decidedEarly = r.early
+	cpu := r.cpu
+	det.NaturalSDC = r.cur.diverged
+	det.Deadlock = r.res.Termination == pipeline.TermDeadlock
+	det.Halted = r.res.Termination == pipeline.TermHalt
+	det.SpcFired = r.res.SpcFired > 0
 
 	detections := cpu.Detector().Detections()
 	det.Detected = len(detections) > 0
-	if stamps := cpu.DetectionStamps(); det.Detected && injPt.fired && len(stamps) > 0 {
-		// Stamps were reset at the fast-forward Restore and the snapshot's
-		// prefix is fault-free, so the first stamp is the first detection.
-		det.LatencyCycles = stamps[0].Cycle - injPt.cycle
-		det.LatencyInsts = stamps[0].Committed - injPt.committed
+	if stamps := cpu.DetectionStamps(); det.Detected && r.at != nil && len(stamps) > 0 {
+		// Stamps were reset at the Restore and the resumed prefix is
+		// fault-free, so the first stamp is the first detection.
+		det.LatencyCycles = stamps[0].Cycle - r.at.Cycle
+		det.LatencyInsts = stamps[0].Committed - r.at.Committed
 	}
-	if det.Detected && detect.PreCommit(cfg.Pipeline.Detector) {
+	if det.Detected && detect.PreCommit(e.cfg.Pipeline.Detector) {
 		// Recoverability only exists for backends that detect before the
 		// faulty instance commits: a chunked-replay verdict arrives after
 		// retirement, so a flush-and-retry can never help it.
 		first := detections[0]
-		det.Recoverable = first.AccessSig != oracle.TrueSig(first.StartPC)
+		det.Recoverable = first.AccessSig != e.oracle.TrueSig(first.StartPC)
 	}
 	// MayITR: a faulty signature resident at window end (paper footnote 1).
 	// The category is ITR-specific — rival backends hold no signature cache,
 	// so an undetected fault of theirs classifies as plain Undet.
 	if ck := cpu.Checker(); ck != nil {
-		ck.Cache().Visit(func(ln *cache.Line) {
-			if ln.Value != oracle.TrueSig(ln.Key) {
-				det.FaultyResident = true
-			}
-		})
+		det.FaultyResident = faultyResident(ck, e.oracle)
 	}
-
 	det.Category = classify(det)
 
-	// ---- verify run: confirm the recovery story under the full protocol ----
-	if cfg.Verify && det.Detected {
-		// The fast path is invalid under checkpointing: a cold verify run
-		// takes coarse-grain checkpoints during the prefix, which the
-		// checkpoint-free pilot snapshot cannot reproduce. Otherwise the
-		// verify run resumes from the observe machine's pre-fault fork when
-		// one was captured, skipping the detect-free prefix between the
-		// pilot snapshot and the injection.
-		vsnap := snap
-		if cfg.Checkpoint {
-			vsnap = nil
-		} else if fast && presnap != nil {
-			vsnap = presnap
-		}
-		var vcpu *pipeline.CPU
-		if ar != nil {
-			vcpu, err = ar.verifyCPU(vsnap)
-		} else {
-			pcfg := cfg.pipelineConfig(core.ModeFull)
-			pcfg.CheckpointEnabled = cfg.Checkpoint
-			vcpu, err = pipeline.New(prog, pcfg)
-			if err == nil && vsnap != nil {
-				err = vcpu.Restore(vsnap)
-			}
-		}
-		if err != nil {
-			return det, fmt.Errorf("verify run: %w", err)
-		}
-		vbudget := cfg.WindowCycles
-		var vdiverged func() bool
-		var vcur *goldenCursor
-		// A reused machine carries the previous run's observers; every hook a
-		// verify run depends on is (re)set below, and the checkpoint observer
-		// is cleared unless this run installs its own.
-		vcpu.SetCheckpointObserver(nil)
-		if vsnap != nil {
-			vcur = rc.stream.cursor(int(vsnap.Committed))
-			vcpu.SetCommitObserver(vcur.observe)
-			vdiverged = func() bool { return vcur.diverged }
-			vbudget = cfg.WindowCycles - vsnap.Cycle
-		} else {
-			vg := newGolden(prog)
-			vcpu.SetCommitObserver(vg.observe)
-			if cfg.Checkpoint {
-				vcpu.SetCheckpointObserver(vg.checkpoint)
-			}
-			vdiverged = func() bool { return vg.diverged }
-		}
-		var vinjPt injectionPoint
-		vcpu.SetFaultHook(hook(inj, vcpu, &vinjPt))
-		var vres pipeline.Result
-		if fast && vsnap != nil {
-			var vearly, vfell bool
-			vres, vearly, vfell = runDecided(vcpu, vcur, rc.stream, vsnap, oracle, inj, cfg.WindowCycles, true)
-			if bud != nil {
-				bud.simulated += vcpu.CycleCount() - vsnap.Cycle
-				if vearly {
-					bud.saved += cfg.WindowCycles - vcpu.CycleCount()
-				}
-				if vfell {
-					bud.proofFallback = true
-				}
-				if presnap != nil && vsnap == presnap {
-					// The fork skipped re-simulating snap.Cycle→presnap.Cycle.
-					bud.saved += presnap.Cycle - snap.Cycle
-					bud.verifyForked = true
-				}
-			}
-		} else {
-			vres = vcpu.Run(vbudget)
-			if bud != nil {
-				vstart := int64(0)
-				if vsnap != nil {
-					vstart = vsnap.Cycle
-				}
-				bud.simulated += vcpu.CycleCount() - vstart
-			}
-		}
-		det.Verified = true
-		det.RecoveredInFull = vcpu.Detector().Stats().Recoveries > 0
-		det.MachineCheck = vres.Termination == pipeline.TermMachineCheck
-		det.SDCUnderITR = vdiverged()
-		det.CheckpointRecovered = cfg.Checkpoint && vres.CheckpointRollbacks > 0 &&
-			!det.MachineCheck && !vdiverged()
+	if !e.cfg.Verify || !det.Detected {
+		return det, nil
 	}
+	v, err := a.leg(e, e.verify, decodeBit(inj), r.fork)
+	if err != nil {
+		return det, fmt.Errorf("verify run: %w", err)
+	}
+	bud.leg(v, e.cfg.WindowCycles)
+	if r.fork != nil { // the fork skipped the observe leg's prefix
+		bud.saved += r.fork.Cycle - r.from.Cycle
+		bud.verifyForked = true
+	}
+	det.Verified = true
+	det.RecoveredInFull = v.cpu.Detector().Stats().Recoveries > 0
+	det.MachineCheck = v.res.Termination == pipeline.TermMachineCheck
+	det.SDCUnderITR = v.cur.diverged
+	det.CheckpointRecovered = e.cfg.Checkpoint && v.res.CheckpointRollbacks > 0 &&
+		!det.MachineCheck && !det.SDCUnderITR
 	return det, nil
-}
-
-// injectionPoint records the machine time at which the fault hook fired:
-// the cycle and committed-instruction counts when the bit was flipped.
-// Detection latency is the first detection stamp minus this point.
-type injectionPoint struct {
-	fired     bool
-	cycle     int64
-	committed int64
-}
-
-// hook returns a FaultHook flipping the injection's bit exactly once,
-// recording the flip's machine time in at. After the flip it uninstalls
-// itself from cpu — the remainder of the window (the vast majority of its
-// decode events) runs hook-free. An installed-but-fired hook would return
-// every later instruction's signals unchanged, so clearing it is
-// behaviorally invisible.
-func hook(inj Injection, cpu *pipeline.CPU, at *injectionPoint) pipeline.FaultHook {
-	return func(i int64, pc uint64, wrongPath bool, d isa.DecodeSignals) isa.DecodeSignals {
-		if !at.fired && i == inj.DecodeIndex {
-			at.fired = true
-			at.cycle = cpu.CycleCount()
-			at.committed = cpu.CommittedInsts()
-			cpu.SetFaultHook(nil)
-			return d.FlipBit(inj.Bit)
-		}
-		return d
-	}
 }
 
 // classify maps observed facts to the Figure 8 category.
 func classify(d Detail) Category {
-	mask := !d.NaturalSDC && !d.Deadlock
 	switch {
 	case d.Detected && d.Deadlock:
 		return ITRWdogR
@@ -617,8 +341,6 @@ func classify(d Detail) Category {
 		return UndetSDC
 	case d.Deadlock:
 		return UndetWdog
-	case mask:
-		return UndetMask
 	default:
 		return UndetMask
 	}

@@ -10,9 +10,6 @@ import (
 	"itr/internal/stats"
 )
 
-// isaRegID aliases the register type for brevity in the hook.
-func isaRegID(v uint8) isa.RegID { return isa.RegID(v) }
-
 // RenameInjection names a single-event upset on the rename-map index logic:
 // XOR the chosen index of decode event DecodeIndex with Mask.
 type RenameInjection struct {
@@ -36,21 +33,17 @@ type RenameCampaignResult struct {
 	SDCWithExtension       int // corruption that still slipped through
 }
 
-// Pct helpers.
-func (r RenameCampaignResult) pct(n int) float64 {
-	if r.Total == 0 {
-		return 0
-	}
-	return 100 * float64(n) / float64(r.Total)
-}
+// Pct returns n as a percentage of the injections.
+func (r RenameCampaignResult) Pct(n int) float64 { return pct(n, r.Total) }
 
 // SDCWithoutPct returns the silent-corruption rate with only frontend ITR.
-func (r RenameCampaignResult) SDCWithoutPct() float64 { return r.pct(r.SDCWithoutExtension) }
+func (r RenameCampaignResult) SDCWithoutPct() float64 { return r.Pct(r.SDCWithoutExtension) }
 
 // DetectedPct returns the detection rate with the rename extension.
-func (r RenameCampaignResult) DetectedPct() float64 { return r.pct(r.DetectedWithExtension) }
+func (r RenameCampaignResult) DetectedPct() float64 { return r.Pct(r.DetectedWithExtension) }
 
-// renameHook builds the one-shot index corruption.
+// renameHook builds the one-shot index corruption: XOR one rename index of
+// decode event DecodeIndex with Mask (taken as 5 bits, 0 meaning 1).
 func renameHook(inj RenameInjection) pipeline.RenameFaultHook {
 	done := false
 	return func(i int64, ri pipeline.RenameIndexes) pipeline.RenameIndexes {
@@ -58,103 +51,106 @@ func renameHook(inj RenameInjection) pipeline.RenameFaultHook {
 			return ri
 		}
 		done = true
-		m := inj.Mask & 0x1f
-		if m == 0 {
-			m = 1
-		}
+		m := max(isa.RegID(inj.Mask&0x1f), 1)
 		switch inj.Operand % 3 {
 		case 0:
-			ri.Src1 ^= isaRegID(m)
+			ri.Src1 ^= m
 		case 1:
-			ri.Src2 ^= isaRegID(m)
+			ri.Src2 ^= m
 		default:
-			ri.Dst ^= isaRegID(m)
+			ri.Dst ^= m
 		}
 		return ri
 	}
 }
 
-// RunRenameFault evaluates one rename-index upset with and without the
-// rename-protection extension.
-func RunRenameFault(prog *program.Program, cfg Config, inj RenameInjection) (withoutSDC, frontendDetected, detected, recovered, withSDC bool, err error) {
-	// Pass 1: frontend ITR only, observe mode — the paper's baseline.
-	cpu, err := pipeline.New(prog, cfg.pipelineConfig(core.ModeObserve))
-	if err != nil {
-		return false, false, false, false, false, fmt.Errorf("rename fault baseline: %w", err)
-	}
-	g := newGolden(prog)
-	cpu.SetCommitObserver(g.observe)
-	cpu.SetRenameFaultHook(renameHook(inj))
-	cpu.Run(cfg.WindowCycles)
-	withoutSDC = g.diverged
-	frontendDetected = len(cpu.Detector().Detections()) > 0
+// renameIndex is the rename-study target.
+type renameIndex RenameInjection
 
-	// Pass 2: rename extension attached, full protocol.
-	pcfg := cfg.pipelineConfig(core.ModeFull)
-	pcfg.RenameITREnabled = true
-	vcpu, err := pipeline.New(prog, pcfg)
-	if err != nil {
-		return false, false, false, false, false, fmt.Errorf("rename fault extension: %w", err)
-	}
-	vg := newGolden(prog)
-	vcpu.SetCommitObserver(vg.observe)
-	vcpu.SetRenameFaultHook(renameHook(inj))
-	vcpu.Run(cfg.WindowCycles)
-	rst := vcpu.RenameChecker().Stats()
-	detected = rst.Mismatches > 0
-	recovered = rst.Recoveries > 0
-	withSDC = vg.diverged
-	return withoutSDC, frontendDetected, detected, recovered, withSDC, nil
+func (f renameIndex) precedes(s *pipeline.Snapshot) bool { return s.DecodeEvents < f.DecodeIndex }
+
+func (f renameIndex) run(e *engine, r *legRun) error {
+	r.cpu.SetRenameFaultHook(renameHook(RenameInjection(f)))
+	r.res = r.cpu.Run(e.cfg.WindowCycles - r.from.Cycle)
+	return nil
+}
+
+// renameVerdict is one upset's outcome without and with the extension.
+type renameVerdict struct {
+	withoutSDC, frontendDetected, detected, recovered, withSDC bool
 }
 
 // RunRenameCampaign injects n randomized rename-index faults.
 func RunRenameCampaign(prog *program.Program, cfg Config, n int, seed uint64) (RenameCampaignResult, error) {
 	var res RenameCampaignResult
-	if n <= 0 {
-		return res, fmt.Errorf("rename campaign: non-positive count %d", n)
-	}
-	// Profile the decode-event space (as the main campaign does). The
-	// fault-free profiling trajectory is mode-independent.
-	prof, err := pipeline.New(prog, cfg.pipelineConfig(cfg.Pipeline.ITRMode))
-	if err != nil {
-		return res, err
-	}
-	prof.Run(cfg.WindowCycles)
-	space := prof.DecodeEvents()
-	if space < 100 {
-		return res, fmt.Errorf("rename campaign: window too small (%d decode events)", space)
-	}
-
-	rng := stats.NewRNG(seed)
-	lo, hi := space/20, space/2
-	for i := 0; i < n; i++ {
-		inj := RenameInjection{
-			DecodeIndex: lo + int64(rng.Uint64n(uint64(hi-lo))),
-			Operand:     rng.Intn(3),
-			Mask:        uint8(1 + rng.Intn(31)),
-		}
-		withoutSDC, fed, det, rec, withSDC, err := RunRenameFault(prog, cfg, inj)
-		if err != nil {
-			return res, err
-		}
+	_, verdicts, err := runRenameStudy(prog, cfg, n, seed)
+	for _, v := range verdicts {
 		res.Total++
-		if withoutSDC {
+		if v.withoutSDC {
 			res.SDCWithoutExtension++
 		} else {
 			res.MaskedWithout++
 		}
-		if fed {
+		if v.frontendDetected {
 			res.FrontendDetected++
 		}
-		if det {
+		if v.detected {
 			res.DetectedWithExtension++
 		}
-		if rec {
+		if v.recovered {
 			res.RecoveredWithExtension++
 		}
-		if withSDC {
+		if v.withSDC {
 			res.SDCWithExtension++
 		}
 	}
-	return res, nil
+	return res, err
+}
+
+// runRenameStudy samples n rename-index upsets over the observe pilot's
+// decode events and runs each twice: with frontend ITR only in observe mode
+// (the paper's baseline), and with the rename extension under the full
+// protocol, whose different machine needs a pilot of its own.
+func runRenameStudy(prog *program.Program, cfg Config, n int, seed uint64) ([]renameIndex, []renameVerdict, error) {
+	if n <= 0 {
+		return nil, nil, fmt.Errorf("rename campaign: non-positive count %d", n)
+	}
+	e := newEngine(prog, cfg, seed)
+	base, ref, err := e.pilot(cfg.pipelineConfig(core.ModeObserve), cfg.WindowCycles)
+	if err != nil {
+		return nil, nil, fmt.Errorf("rename campaign %w", err)
+	}
+	if ref.DecodeEvents < 100 {
+		return nil, nil, fmt.Errorf("rename campaign: window too small (%d decode events)", ref.DecodeEvents)
+	}
+	rng := stats.NewRNG(seed)
+	faults := make([]renameIndex, n)
+	for i := range faults {
+		faults[i].DecodeIndex = decodeSample(rng, ref.DecodeEvents)
+		faults[i].Operand = rng.Intn(3)
+		faults[i].Mask = uint8(1 + rng.Intn(31))
+	}
+	prune(base, faults)
+	ecfg := cfg.pipelineConfig(core.ModeFull)
+	ecfg.RenameITREnabled = true
+	ext, _, err := e.pilot(ecfg, cfg.WindowCycles)
+	if err != nil {
+		return nil, nil, fmt.Errorf("rename campaign %w", err)
+	}
+	prune(ext, faults)
+	verdicts := make([]renameVerdict, n)
+	return faults, verdicts, pool(e, faults, func(a *arena, i int) error {
+		r, err := a.leg(e, base, faults[i], nil)
+		if err != nil {
+			return err
+		}
+		v := &verdicts[i]
+		v.withoutSDC, v.frontendDetected = r.cur.diverged, len(r.cpu.Detector().Detections()) > 0
+		if r, err = a.leg(e, ext, faults[i], nil); err != nil {
+			return err
+		}
+		st := r.cpu.RenameChecker().Stats()
+		v.detected, v.recovered, v.withSDC = st.Mismatches > 0, st.Recoveries > 0, r.cur.diverged
+		return nil
+	})
 }

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"itr/internal/isa"
-	"itr/internal/pipeline"
 	"itr/internal/program"
 )
 
@@ -15,29 +14,34 @@ type goldenEntry struct {
 	out isa.Outcome
 }
 
-// GoldenStream is the fault-free commit log computed once per benchmark and
-// shared read-only by every injection in a campaign. It replaces the
-// per-injection golden lockstep execution: instead of re-executing the
-// reference alongside each faulty run, a cursor walks this precomputed
-// stream and compares committed outcomes against it.
+// GoldenStream is the fault-free commit log computed once per study and
+// shared read-only by every injection leg: a cursor walks it and compares
+// each committed outcome, instead of a reference re-executing per run.
 //
-// The stream extends itself lazily under a mutex: a fault that delays or
-// reorders work (e.g. a latency-bit flip) can make the faulty machine commit
-// more instructions inside the window than the pilot did, so readers past
-// the precomputed prefix grow the log on demand. Extension is safe at any
-// index: the reference executes from the program's decode table, which
-// yields halt signals beyond the program image — exactly what the live
-// golden model does.
+// The stream extends itself lazily under a mutex, since a faulty machine
+// can commit more instructions inside its window than the pilot did.
+// Extension is safe at any index: the reference executes from the program's
+// decode table, which yields halt signals beyond the program image.
 type GoldenStream struct {
 	tab *program.DecodeTable
 
-	mu      sync.Mutex
-	st      isa.ArchState // execution frontier (guarded by mu)
-	entries []goldenEntry // append-only (guarded by mu for append/len)
+	mu     sync.Mutex // guards all below
+	st     isa.ArchState
+	chunks [][]goldenEntry // goldenChunk entries each, so growth never copies
+	n      int             // entries computed
 }
 
-// NewGoldenStream builds an empty stream for prog; entries are computed on
-// first use (or ahead of time via ensure).
+const goldenChunk = 1 << 14
+
+// goldenView is an immutable prefix of the log: its first n entries.
+type goldenView struct {
+	chunks [][]goldenEntry
+	n      int
+}
+
+func (v goldenView) at(i int) *goldenEntry { return &v.chunks[i/goldenChunk][i%goldenChunk] }
+
+// NewGoldenStream builds an empty stream for prog, computed on demand.
 func NewGoldenStream(prog *program.Program) *GoldenStream {
 	s := &GoldenStream{tab: prog.DecodeTable()}
 	s.st.Mem = isa.NewMemory()
@@ -45,42 +49,40 @@ func NewGoldenStream(prog *program.Program) *GoldenStream {
 	return s
 }
 
-// ensure grows the log so index n exists and returns the current immutable
-// prefix view. Appends only ever write array slots beyond every previously
-// returned view's length, so returned views are safe for lock-free reads.
-func (s *GoldenStream) ensure(n int) []goldenEntry {
+// ensure grows the log so index n exists and returns the current prefix;
+// growth never writes inside an earlier view, so views need no lock.
+func (s *GoldenStream) ensure(n int) goldenView {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if cap(s.entries) <= n {
-		grown := make([]goldenEntry, len(s.entries), n+n/4+1)
-		copy(grown, s.entries)
-		s.entries = grown
-	}
-	for len(s.entries) <= n {
-		pc := s.st.PC
-		s.entries = append(s.entries, goldenEntry{pc: pc})
-		e := &s.entries[len(s.entries)-1]
-		s.st.ExecInto(&e.out, s.tab.Signals(pc), pc)
+	for ; s.n <= n; s.n++ {
+		if s.n%goldenChunk == 0 {
+			s.chunks = append(s.chunks, make([]goldenEntry, goldenChunk))
+		}
+		e := &s.chunks[s.n/goldenChunk][s.n%goldenChunk]
+		e.pc = s.st.PC
+		s.st.ExecInto(&e.out, s.tab.Signals(e.pc), e.pc)
 		s.st.ApplyRef(&e.out)
 	}
-	return s.entries[:len(s.entries):len(s.entries)]
+	return goldenView{s.chunks, s.n}
 }
 
-// cursor returns a reader positioned at commit index start (the snapshot's
-// committed-instruction count: everything before it matched by construction).
+// cursor returns a reader positioned at commit index start.
 func (s *GoldenStream) cursor(start int) *goldenCursor {
 	return &goldenCursor{s: s, view: s.ensure(start), idx: start}
 }
 
 // goldenCursor compares one machine's commit stream against the shared
-// golden log, reproducing exactly the divergence rule of the live golden
-// model (fault.golden.observe): sticky divergence on the first PC or
-// architectural-effect mismatch.
+// golden log: divergence is sticky from the first PC or architectural-effect
+// mismatch.
 type goldenCursor struct {
 	s        *GoldenStream
-	view     []goldenEntry
+	view     goldenView
 	idx      int
 	diverged bool
+
+	mark         int // checkpointed position (valid when marked)
+	markDiverged bool
+	marked       bool
 }
 
 // observe is a pipeline.CommitObserver.
@@ -88,10 +90,10 @@ func (c *goldenCursor) observe(pc uint64, o *isa.Outcome) {
 	if c.diverged {
 		return
 	}
-	if c.idx >= len(c.view) {
+	if c.idx >= c.view.n {
 		c.view = c.s.ensure(c.idx)
 	}
-	e := &c.view[c.idx]
+	e := c.view.at(c.idx)
 	if pc != e.pc {
 		c.diverged = true
 		return
@@ -102,38 +104,14 @@ func (c *goldenCursor) observe(pc uint64, o *isa.Outcome) {
 	}
 }
 
-// replayContext is the campaign-wide fast-forward state shared read-only
-// across the injection worker pool: the pilot's snapshots (ascending by
-// decode event) and the precomputed golden stream.
-type replayContext struct {
-	snaps  []*pipeline.Snapshot
-	stream *GoldenStream
-}
-
-// nearest returns the latest snapshot taken strictly before decode event
-// decodeIndex (so the injected event has not yet happened in it), or nil
-// when no snapshot precedes it and the run must start cold.
-func (rc *replayContext) nearest(decodeIndex int64) *pipeline.Snapshot {
-	if rc == nil {
-		return nil
+// checkpoint is a pipeline.CheckpointObserver: it marks the cursor's
+// (index, diverged) position when the machine takes a checkpoint and rewinds
+// to the mark when the machine rolls back to it.
+func (c *goldenCursor) checkpoint(taken bool) {
+	switch {
+	case taken:
+		c.mark, c.markDiverged, c.marked = c.idx, c.diverged, true
+	case c.marked:
+		c.idx, c.diverged = c.mark, c.markDiverged
 	}
-	if i := nearestSnapshotIdx(rc.snaps, decodeIndex); i >= 0 {
-		return rc.snaps[i]
-	}
-	return nil
-}
-
-// nearestSnapshotIdx returns the index of the latest snapshot with
-// DecodeEvents < decodeIndex, or -1.
-func nearestSnapshotIdx(snaps []*pipeline.Snapshot, decodeIndex int64) int {
-	lo, hi := 0, len(snaps)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if snaps[mid].DecodeEvents < decodeIndex {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo - 1
 }

@@ -4,7 +4,10 @@ import (
 	"reflect"
 	"testing"
 
+	"itr/internal/core"
+	"itr/internal/isa"
 	"itr/internal/pipeline"
+	"itr/internal/program"
 )
 
 // TestCampaignSnapshotFastPathBitIdentical is the tentpole's correctness
@@ -84,7 +87,8 @@ func TestCampaignSnapshotFastPathBitIdentical(t *testing.T) {
 }
 
 // TestGoldenStreamMatchesLiveGolden: a cursor over the precomputed stream
-// reaches the same divergence verdicts as the live lockstep golden model.
+// reaches the same divergence verdicts as the live lockstep golden model
+// (oracles_test.go), including across checkpoint rollbacks.
 func TestGoldenStreamMatchesLiveGolden(t *testing.T) {
 	p := testProgram(t)
 	s := NewGoldenStream(p)
@@ -93,7 +97,8 @@ func TestGoldenStreamMatchesLiveGolden(t *testing.T) {
 	g := newGolden(p)
 	cur := s.cursor(0)
 	view := s.ensure(499)
-	for _, e := range view[:500] {
+	for i := 0; i < 500; i++ {
+		e := view.at(i)
 		g.observe(e.pc, &e.out)
 		cur.observe(e.pc, &e.out)
 	}
@@ -104,7 +109,7 @@ func TestGoldenStreamMatchesLiveGolden(t *testing.T) {
 	// A wrong PC diverges both, stickily.
 	g2 := newGolden(p)
 	cur2 := s.cursor(0)
-	e := view[0]
+	e := view.at(0)
 	g2.observe(e.pc+1, &e.out)
 	cur2.observe(e.pc+1, &e.out)
 	if !g2.diverged || !cur2.diverged {
@@ -113,12 +118,106 @@ func TestGoldenStreamMatchesLiveGolden(t *testing.T) {
 
 	// A corrupted outcome diverges the cursor mid-stream.
 	cur3 := s.cursor(100)
-	bad := view[100].out
+	bad := view.at(100).out
 	bad.NextPC ^= 1
-	cur3.observe(view[100].pc, &bad)
+	cur3.observe(view.at(100).pc, &bad)
 	if !cur3.diverged {
 		t.Fatal("outcome mismatch not flagged by seeked cursor")
 	}
+
+	// Through a Checkpoint: true verify run: a fault on a trace's first
+	// instance corrupts committed state, and the machine rolls back to its
+	// last checkpoint. The cursor must rewind with the machine exactly as the
+	// live model restores its reference state, commit by commit.
+	mp := missFaultProgram(t)
+	cfg := quickConfig()
+	cfg.Checkpoint = true
+	pcfg := cfg.pipelineConfig(core.ModeFull)
+	pcfg.CheckpointEnabled = true
+	pcfg.CheckpointIntervalCycles = 512
+	cpu, err := pipeline.New(mp, pcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, cur4 := newGolden(mp), NewGoldenStream(mp).cursor(0)
+	commits, disagreements, sawDiverged := 0, 0, false
+	cpu.SetCommitObserver(func(pc uint64, o *isa.Outcome) {
+		live.observe(pc, o)
+		cur4.observe(pc, o)
+		commits++
+		sawDiverged = sawDiverged || live.diverged
+		if live.diverged != cur4.diverged {
+			disagreements++
+		}
+	})
+	cpu.SetCheckpointObserver(func(taken bool) {
+		live.checkpoint(taken)
+		cur4.checkpoint(taken)
+	})
+	late := firstOp(mp, isa.OpAdd)
+	fired := false
+	cpu.SetFaultHook(func(i int64, pc uint64, wrongPath bool, d isa.DecodeSignals) isa.DecodeSignals {
+		if !fired && pc == late && !wrongPath {
+			fired = true
+			return d.FlipBit(36) // rdst: the add writes the wrong register
+		}
+		return d
+	})
+	res := cpu.Run(4_000_000)
+	if res.CheckpointRollbacks == 0 || !sawDiverged {
+		t.Fatalf("no rollback of a corrupted commit to compare through (rollbacks %d, diverged %v)",
+			res.CheckpointRollbacks, sawDiverged)
+	}
+	if disagreements > 0 || live.diverged || cur4.diverged {
+		t.Fatalf("cursor and live model disagreed on %d of %d commits (final live=%v cursor=%v)",
+			disagreements, commits, live.diverged, cur4.diverged)
+	}
+}
+
+// missFaultProgram is structured so a fault can land on a trace's first
+// dynamic instance: its "late" block first runs long after checkpoints
+// exist, so a corrupted first instance installs a faulty signature that only
+// a checkpoint rollback can recover from.
+func missFaultProgram(t *testing.T) *program.Program {
+	t.Helper()
+	b := program.NewBuilder("missfault")
+	b.OpImm(isa.OpAddi, 1, 0, 400)
+	b.OpImm(isa.OpAddi, 4, 0, 0x1000)
+	b.Label("outer")
+	b.OpImm(isa.OpAddi, 2, 0, 8)
+	b.Label("warm")
+	b.OpImm(isa.OpAddi, 3, 3, 1)
+	b.Store(isa.OpSd, 3, 4, 0)
+	b.OpImm(isa.OpAddi, 2, 2, -1)
+	b.Branch(isa.OpBne, 2, 0, "warm")
+	b.OpImm(isa.OpAddi, 5, 0, 200)
+	b.Branch(isa.OpBlt, 1, 5, "late")
+	b.Jump("skip_late")
+	b.Label("late")
+	b.Op(isa.OpAdd, 6, 6, 3)
+	b.Op(isa.OpXor, 7, 7, 6)
+	b.Store(isa.OpSd, 7, 4, 16)
+	b.OpImm(isa.OpAddi, 8, 8, 3)
+	b.Branch(isa.OpBeq, 0, 0, "skip_late")
+	b.Label("skip_late")
+	b.OpImm(isa.OpAddi, 1, 1, -1)
+	b.Branch(isa.OpBne, 1, 0, "outer")
+	b.Halt()
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// firstOp returns the PC of the first instruction with opcode op.
+func firstOp(p *program.Program, op isa.Opcode) uint64 {
+	for pc, inst := range p.Insts {
+		if inst.Op == op {
+			return uint64(pc)
+		}
+	}
+	return 0
 }
 
 // TestNearestSnapshotIdx pins the strictly-before selection rule: the chosen
@@ -143,11 +242,11 @@ func TestNearestSnapshotIdx(t *testing.T) {
 		{9999, 2}, // far past the last
 	}
 	for _, c := range cases {
-		if got := nearestSnapshotIdx(snaps, c.decodeIndex); got != c.want {
-			t.Errorf("nearestSnapshotIdx(%d) = %d, want %d", c.decodeIndex, got, c.want)
+		if got := nearest(snaps, decodeBit{DecodeIndex: c.decodeIndex}); got != c.want {
+			t.Errorf("nearest(%d) = %d, want %d", c.decodeIndex, got, c.want)
 		}
 	}
-	if got := nearestSnapshotIdx(nil, 10); got != -1 {
+	if got := nearest(nil, decodeBit{DecodeIndex: 10}); got != -1 {
 		t.Fatalf("empty slice: got %d, want -1", got)
 	}
 }

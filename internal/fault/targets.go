@@ -12,8 +12,6 @@ import (
 	"itr/internal/stats"
 )
 
-// ---- PC faults (paper Section 2.5) ----
-
 // PCOutcome classifies one fetch-PC upset.
 type PCOutcome string
 
@@ -50,80 +48,81 @@ type PCFaultResult struct {
 }
 
 // Pct returns the percentage of injections with outcome o.
-func (r PCFaultResult) Pct(o PCOutcome) float64 {
-	if r.Total == 0 {
+func (r PCFaultResult) Pct(o PCOutcome) float64 { return pct(r.Counts[o], r.Total) }
+
+// pct returns n as a percentage of total (0 when total is 0).
+func pct(n, total int) float64 {
+	if total == 0 {
 		return 0
 	}
-	return 100 * float64(r.Counts[o]) / float64(r.Total)
+	return 100 * float64(n) / float64(total)
 }
 
-// RunPCFault injects one fetch-PC bit flip at the given cycle and classifies
-// the outcome. The ITR checker runs in observe mode so the natural
-// consequence is visible alongside every check that fires.
-func RunPCFault(prog *program.Program, cfg Config, atCycle int64, bit int) (PCOutcome, error) {
-	pcfg := cfg.pipelineConfig(core.ModeObserve)
-	cpu, err := pipeline.New(prog, pcfg)
-	if err != nil {
-		return "", fmt.Errorf("pc fault run: %w", err)
-	}
-	g := newGolden(prog)
-	cpu.SetCommitObserver(g.observe)
-	cpu.SchedulePCFault(atCycle, bit)
-
-	// Baseline repair count up to the injection point must be excluded:
-	// run a clean reference for the same window to measure the expected
-	// mispredict count.
-	ref, err := pipeline.New(prog, pcfg)
-	if err != nil {
-		return "", err
-	}
-	refRes := ref.Run(cfg.WindowCycles)
-
-	res := cpu.Run(cfg.WindowCycles)
-	detections := cpu.Detector().Detections()
-
-	switch {
-	case len(detections) > 0:
-		return PCDetectedITR, nil
-	case res.Termination == pipeline.TermDeadlock:
-		return PCDeadlock, nil
-	case res.SpcFired > 0:
-		return PCDetectedSpc, nil
-	case !g.diverged && res.Mispredicts > refRes.Mispredicts:
-		// Extra repair events relative to the fault-free run: the branch
-		// unit redirected the corrupted path and no damage remains.
-		return PCDetectedBranch, nil
-	case g.diverged:
-		return PCUndetectedSDC, nil
-	default:
-		return PCMasked, nil
-	}
+// fetchPC is the Section 2.5 target: flip bit of the fetch PC at cycle.
+type fetchPC struct {
+	cycle int64
+	bit   int
 }
 
-// RunPCFaultCampaign injects n randomized PC faults.
+func (f fetchPC) precedes(s *pipeline.Snapshot) bool { return s.Cycle < f.cycle }
+
+func (f fetchPC) run(e *engine, r *legRun) error {
+	r.cpu.SchedulePCFault(f.cycle, f.bit)
+	r.res = r.cpu.Run(e.cfg.WindowCycles - r.from.Cycle)
+	return nil
+}
+
+// RunPCFaultCampaign injects n randomized fetch-PC faults, in observe mode
+// so each natural consequence shows alongside every check that fires.
 func RunPCFaultCampaign(prog *program.Program, cfg Config, n int, seed uint64) (PCFaultResult, error) {
 	res := PCFaultResult{Counts: make(map[PCOutcome]int)}
+	_, outs, err := runPCStudy(prog, cfg, n, seed)
+	for _, o := range outs {
+		res.Total++
+		res.Counts[o]++
+	}
+	return res, err
+}
+
+// runPCStudy samples n fetch-PC upsets and classifies each.
+func runPCStudy(prog *program.Program, cfg Config, n int, seed uint64) ([]fetchPC, []PCOutcome, error) {
 	if n <= 0 {
-		return res, fmt.Errorf("pc fault campaign: non-positive count %d", n)
+		return nil, nil, fmt.Errorf("pc fault campaign: non-positive count %d", n)
 	}
 	rng := stats.NewRNG(seed)
 	// Flips within the image dominate; one extra bit allows out-of-image
 	// excursions (fetching past the image returns halts).
 	bitRange := bits.Len64(uint64(prog.Len())) + 1
-	for i := 0; i < n; i++ {
-		bit := rng.Intn(bitRange)
-		cycle := 1 + int64(rng.Uint64n(uint64(cfg.WindowCycles/2)))
-		out, err := RunPCFault(prog, cfg, cycle, bit)
-		if err != nil {
-			return res, err
-		}
-		res.Total++
-		res.Counts[out]++
+	faults := make([]fetchPC, n)
+	for i := range faults {
+		faults[i].bit = rng.Intn(bitRange)
+		faults[i].cycle = 1 + int64(rng.Uint64n(uint64(cfg.WindowCycles/2)))
 	}
-	return res, nil
+	e := newEngine(prog, cfg, seed)
+	src, ref, err := e.pilot(cfg.pipelineConfig(core.ModeObserve), cfg.WindowCycles)
+	if err != nil {
+		return nil, nil, fmt.Errorf("pc fault %w", err)
+	}
+	outs, err := study(e, src, faults, func(r *legRun) PCOutcome {
+		switch {
+		case len(r.cpu.Detector().Detections()) > 0:
+			return PCDetectedITR
+		case r.res.Termination == pipeline.TermDeadlock:
+			return PCDeadlock
+		case r.res.SpcFired > 0:
+			return PCDetectedSpc
+		case !r.cur.diverged && r.res.Mispredicts > ref.Mispredicts:
+			// Repairs beyond the fault-free pilot's: the branch unit
+			// redirected the corrupted path and no damage remains.
+			return PCDetectedBranch
+		case r.cur.diverged:
+			return PCUndetectedSDC
+		default:
+			return PCMasked
+		}
+	})
+	return faults, outs, err
 }
-
-// ---- ITR cache line faults (paper Section 2.4) ----
 
 // CacheFaultOutcome classifies an upset on a stored ITR signature.
 type CacheFaultOutcome string
@@ -152,72 +151,84 @@ type CacheFaultResult struct {
 	SDC int
 }
 
-// RunCacheFault corrupts one resident ITR cache line mid-run and classifies
-// the consequence. parity selects whether the Section 2.4 protection is on.
-func RunCacheFault(prog *program.Program, cfg Config, parity bool, warmCycles int64, pick uint64, bit int) (CacheFaultOutcome, bool, error) {
-	if name := detect.Canonical(cfg.Pipeline.Detector); name != detect.NameITR {
-		return "", false, fmt.Errorf("cache fault study targets the ITR signature cache; detector backend %q has none", name)
-	}
-	pcfg := cfg.pipelineConfig(core.ModeFull)
-	pcfg.ITR.Parity = parity
-	cpu, err := pipeline.New(prog, pcfg)
-	if err != nil {
-		return "", false, fmt.Errorf("cache fault run: %w", err)
-	}
-	g := newGolden(prog)
-	cpu.SetCommitObserver(g.observe)
+// Pct returns the percentage of injections with outcome o.
+func (r CacheFaultResult) Pct(o CacheFaultOutcome) float64 { return pct(r.Counts[o], r.Total) }
 
-	// Warm the ITR cache, then flip one bit of one resident signature.
-	cpu.Run(warmCycles)
-	var lines []*cache.Line
-	cpu.Checker().Cache().Visit(func(ln *cache.Line) { lines = append(lines, ln) })
-	if len(lines) == 0 {
-		return "", false, fmt.Errorf("cache fault: no resident lines after %d warm cycles", warmCycles)
-	}
-	victim := lines[pick%uint64(len(lines))]
-	victim.Value ^= 1 << uint(bit&63)
-
-	res := cpu.Run(cfg.WindowCycles)
-	st := cpu.Checker().Stats()
-
-	var out CacheFaultOutcome
-	switch {
-	case st.ParityRecovers > 0:
-		out = CacheParityRepaired
-	case res.Termination == pipeline.TermMachineCheck:
-		out = CacheFalseMachineCheck
-	default:
-		out = CacheMasked
-	}
-	return out, g.diverged, nil
+// cacheLine is the Section 2.4 target: after warm cycles, flip bit of the
+// resident ITR cache line pick selects (modulo the resident count).
+type cacheLine struct {
+	warm int64
+	pick uint64
+	bit  int
 }
 
-// RunCacheFaultCampaign injects n randomized ITR-cache line faults.
+func (c cacheLine) precedes(s *pipeline.Snapshot) bool { return s.Cycle < c.warm }
+
+// run warms the cache, corrupts the line, then observes a full window.
+func (c cacheLine) run(e *engine, r *legRun) error {
+	r.cpu.Run(c.warm - r.from.Cycle)
+	var lines []*cache.Line
+	r.cpu.Checker().Cache().Visit(func(ln *cache.Line) { lines = append(lines, ln) })
+	if len(lines) == 0 {
+		return fmt.Errorf("cache fault: no resident lines after %d warm cycles", c.warm)
+	}
+	lines[c.pick%uint64(len(lines))].Value ^= 1 << uint(c.bit&63)
+	r.res = r.cpu.Run(e.cfg.WindowCycles)
+	return nil
+}
+
+// cacheVerdict is one cache-line upset's outcome and whether state diverged.
+type cacheVerdict struct {
+	out CacheFaultOutcome
+	sdc bool
+}
+
+// RunCacheFaultCampaign injects n randomized ITR-cache line faults under the
+// full protocol. parity selects whether the Section 2.4 protection is on.
 func RunCacheFaultCampaign(prog *program.Program, cfg Config, parity bool, n int, seed uint64) (CacheFaultResult, error) {
 	res := CacheFaultResult{Counts: make(map[CacheFaultOutcome]int)}
-	if n <= 0 {
-		return res, fmt.Errorf("cache fault campaign: non-positive count %d", n)
-	}
-	rng := stats.NewRNG(seed)
-	for i := 0; i < n; i++ {
-		out, sdc, err := RunCacheFaultCase(prog, cfg, parity, rng)
-		if err != nil {
-			return res, err
-		}
+	_, verdicts, err := runCacheStudy(prog, cfg, parity, n, seed)
+	for _, v := range verdicts {
 		res.Total++
-		res.Counts[out]++
-		if sdc {
+		res.Counts[v.out]++
+		if v.sdc {
 			res.SDC++
 		}
 	}
-	return res, nil
+	return res, err
 }
 
-// RunCacheFaultCase draws one randomized cache-fault experiment.
-func RunCacheFaultCase(prog *program.Program, cfg Config, parity bool, rng *stats.RNG) (CacheFaultOutcome, bool, error) {
-	warm := cfg.WindowCycles / 4
-	if warm < 1000 {
-		warm = 1000
+// runCacheStudy samples n cache-line upsets and classifies each. Every
+// fault fires at the same warm point, so the pilot stops there.
+func runCacheStudy(prog *program.Program, cfg Config, parity bool, n int, seed uint64) ([]cacheLine, []cacheVerdict, error) {
+	if n <= 0 {
+		return nil, nil, fmt.Errorf("cache fault campaign: non-positive count %d", n)
 	}
-	return RunCacheFault(prog, cfg, parity, warm, rng.Uint64(), rng.Intn(64))
+	if name := detect.Canonical(cfg.Pipeline.Detector); name != detect.NameITR {
+		return nil, nil, fmt.Errorf("cache fault study targets the ITR signature cache; detector backend %q has none", name)
+	}
+	warm := max(cfg.WindowCycles/4, 1000)
+	rng := stats.NewRNG(seed)
+	faults := make([]cacheLine, n)
+	for i := range faults {
+		faults[i] = cacheLine{warm: warm, pick: rng.Uint64()}
+		faults[i].bit = rng.Intn(64)
+	}
+	e := newEngine(prog, cfg, seed)
+	pcfg := cfg.pipelineConfig(core.ModeFull)
+	pcfg.ITR.Parity = parity
+	src, _, err := e.pilot(pcfg, warm)
+	if err != nil {
+		return nil, nil, fmt.Errorf("cache fault %w", err)
+	}
+	verdicts, err := study(e, src, faults, func(r *legRun) cacheVerdict {
+		v := cacheVerdict{out: CacheMasked, sdc: r.cur.diverged}
+		if r.cpu.Checker().Stats().ParityRecovers > 0 {
+			v.out = CacheParityRepaired
+		} else if r.res.Termination == pipeline.TermMachineCheck {
+			v.out = CacheFalseMachineCheck
+		}
+		return v
+	})
+	return faults, verdicts, err
 }

@@ -1,10 +1,6 @@
 package fault
 
-import (
-	"testing"
-
-	"itr/internal/stats"
-)
+import "testing"
 
 func TestPCFaultMidTraceDetectedByITR(t *testing.T) {
 	p := testProgram(t)
@@ -122,12 +118,11 @@ func TestCacheFaultCampaign(t *testing.T) {
 
 func TestRunCacheFaultCase(t *testing.T) {
 	p := testProgram(t)
-	rng := stats.NewRNG(3)
-	out, _, err := RunCacheFaultCase(p, quickConfig(), true, rng)
+	_, verdicts, err := runCacheStudy(p, quickConfig(), true, 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out != CacheParityRepaired && out != CacheMasked {
+	if out := verdicts[0].out; out != CacheParityRepaired && out != CacheMasked {
 		t.Fatalf("parity-protected case produced %s", out)
 	}
 }
