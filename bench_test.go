@@ -31,11 +31,15 @@ import (
 // benchmarks (profiles with BudgetScale still multiply it).
 const benchBudget = 1_500_000
 
+// rep is the report engine the figure benchmarks run on: a full-width pool
+// with no observer, as the cmd tools use by default.
+var rep = &report.Engine{}
+
 // BenchmarkFigure1 regenerates Figure 1: dynamic instructions contributed by
 // the top-k static traces, SPECint.
 func BenchmarkFigure1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		series, err := report.PopularityFigure(workload.IntSuite(), 100, 1000, benchBudget)
+		series, err := rep.PopularityFigure(workload.IntSuite(), 100, 1000, benchBudget)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -52,7 +56,7 @@ func BenchmarkFigure1(b *testing.B) {
 // BenchmarkFigure2 regenerates Figure 2: same CDF for SPECfp.
 func BenchmarkFigure2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		series, err := report.PopularityFigure(workload.FPSuite(), 50, 500, benchBudget)
+		series, err := rep.PopularityFigure(workload.FPSuite(), 50, 500, benchBudget)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -69,7 +73,7 @@ func BenchmarkFigure2(b *testing.B) {
 // SPECint.
 func BenchmarkFigure3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		series, err := report.DistanceFigure(workload.IntSuite(), benchBudget)
+		series, err := rep.DistanceFigure(workload.IntSuite(), benchBudget)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -89,7 +93,7 @@ func BenchmarkFigure3(b *testing.B) {
 // SPECfp.
 func BenchmarkFigure4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		series, err := report.DistanceFigure(workload.FPSuite(), benchBudget)
+		series, err := rep.DistanceFigure(workload.FPSuite(), benchBudget)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -105,7 +109,7 @@ func BenchmarkFigure4(b *testing.B) {
 // BenchmarkTable1 regenerates Table 1: static trace counts.
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := report.Table1(workload.DefaultBudget)
+		rows, err := rep.Table1(workload.DefaultBudget)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -137,7 +141,7 @@ func BenchmarkTable2(b *testing.B) {
 // worst-case cell for the requested metric.
 func coverageSweepBench(b *testing.B, metric string) {
 	for i := 0; i < b.N; i++ {
-		cells, err := report.CoverageSweep(workload.CoverageSuite(), core.DesignSpace(), benchBudget)
+		cells, err := rep.CoverageSweep(workload.CoverageSuite(), core.DesignSpace(), benchBudget)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -166,7 +170,7 @@ func BenchmarkFigure7(b *testing.B) { coverageSweepBench(b, "recovery") }
 // (2-way/1024: 1.3% avg / 8.2% max detection loss in the paper).
 func BenchmarkHeadlineCoverage(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		h, err := report.HeadlineCoverage(benchBudget)
+		h, err := rep.HeadlineCoverage(benchBudget)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -183,7 +187,7 @@ func BenchmarkFigure8(b *testing.B) {
 	cfg.Faults = 10
 	cfg.Experiment.WindowCycles = 50_000
 	for i := 0; i < b.N; i++ {
-		rows, err := report.Figure8(workload.CoverageSuite(), cfg)
+		rows, err := rep.Figure8(workload.CoverageSuite(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -335,7 +339,7 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 // fetch energy, scaled to the paper's 200M-instruction windows.
 func BenchmarkFigure9(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := report.Figure9(workload.Suite(), benchBudget, 200_000_000)
+		rows, err := rep.Figure9(workload.Suite(), benchBudget, 200_000_000)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -368,7 +372,7 @@ func BenchmarkAblationCheckedLRU(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		base := core.Config{Entries: 1024, Assoc: 2, Replacement: cache.ReplLRU}
 		opt := core.Config{Entries: 1024, Assoc: 2, Replacement: cache.ReplCheckedLRU}
-		cells, err := report.CoverageSweep([]workload.Profile{prof}, []core.Config{base, opt}, benchBudget)
+		cells, err := rep.CoverageSweep([]workload.Profile{prof}, []core.Config{base, opt}, benchBudget)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -388,7 +392,7 @@ func BenchmarkAblationMissFallback(b *testing.B) {
 		base := core.DefaultConfig()
 		fb := base
 		fb.MissFallback = true
-		cells, err := report.CoverageSweep([]workload.Profile{prof}, []core.Config{base, fb}, benchBudget)
+		cells, err := rep.CoverageSweep([]workload.Profile{prof}, []core.Config{base, fb}, benchBudget)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -524,10 +528,11 @@ func BenchmarkCoverageReplay(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	events, err := workload.CachedEvents(prof, 200_000)
+	prog, err := workload.CachedProgram(prof)
 	if err != nil {
 		b.Fatal(err)
 	}
+	events, _ := workload.EventsOf(prog, 200_000)
 	sim, err := core.NewCoverageSim(core.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
@@ -735,47 +740,12 @@ func BenchmarkTraceStream(b *testing.B) {
 	}
 }
 
-// sweepEngineBench runs the full 16-benchmark x 18-configuration design-space
-// sweep at the given worker-pool width through the per-cell reference path
-// (one stream traversal per cell) — the baseline the single-pass engine is
-// measured against.
-func sweepEngineBench(b *testing.B, workers int) {
-	eng := &report.Engine{Workers: workers}
-	// One untimed sweep first: event streams are memoized per benchmark, so
-	// this pins the measurement to the replay engine rather than charging
-	// whichever variant runs first for one-time event generation.
-	if _, err := eng.CoverageSweepWarmPerCell(workload.Suite(), core.DesignSpace(), benchBudget, 0); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cells, err := eng.CoverageSweepWarmPerCell(workload.Suite(), core.DesignSpace(), benchBudget, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(cells) != len(workload.Suite())*len(core.DesignSpace()) {
-			b.Fatalf("sweep returned %d cells", len(cells))
-		}
-	}
-}
-
-// BenchmarkCoverageSweepSerial is the per-cell design-space sweep pinned to
-// one worker — the regression baseline for the single-core replay hot path
-// and the reference BenchmarkCoverageSweepSinglePass is compared against.
-func BenchmarkCoverageSweepSerial(b *testing.B) { sweepEngineBench(b, 1) }
-
-// BenchmarkCoverageSweepParallel is the same per-cell sweep on the default
-// pool (GOMAXPROCS workers); on a multi-core host the speedup over Serial is
-// the parallel engine's contribution, and results are bit-identical either
-// way.
-func BenchmarkCoverageSweepParallel(b *testing.B) { sweepEngineBench(b, 0) }
-
 // BenchmarkCoverageSweepSinglePass is the production sweep path: one stream
 // traversal per benchmark fanning out to all 18 configurations through a
 // core.SimBank, pinned to one worker so the win over
-// BenchmarkCoverageSweepSerial is pure traversal reduction, not parallelism.
-// Cells are bit-identical to the per-cell reference
+// BenchmarkCoverageSweepSerial (the per-cell reference, benchmarked next to
+// its oracle in internal/report) is pure traversal reduction, not
+// parallelism. Cells are bit-identical to the per-cell reference
 // (TestSweepSinglePassMatchesPerCell).
 func BenchmarkCoverageSweepSinglePass(b *testing.B) {
 	eng := &report.Engine{Workers: 1}
@@ -807,7 +777,7 @@ func BenchmarkPerfComparison(b *testing.B) {
 		profiles = append(profiles, p)
 	}
 	for i := 0; i < b.N; i++ {
-		rows, err := report.PerfComparison(profiles, 60_000)
+		rows, err := rep.PerfComparison(profiles, 60_000)
 		if err != nil {
 			b.Fatal(err)
 		}

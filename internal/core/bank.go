@@ -71,22 +71,20 @@ type bankMember struct {
 // configurations (or from the single-sim replay path, which uses the same
 // WarmupLatch).
 //
-// Events are buffered and replayed through the executors block by block, so
-// one executor's working set at a time is hot instead of all of them
-// thrashing each other per event. Every executor still observes the
-// identical warm/measure sequence in the identical order, so results are
-// bit-equal to per-event forwarding (and to a standalone CoverageSim).
+// Events are replayed through the executors block by block, so one
+// executor's working set at a time is hot instead of all of them thrashing
+// each other per event. Every executor still observes the identical
+// warm/measure sequence in the identical order, so results are bit-equal to
+// a standalone CoverageSim fed the same stream through its own WarmupLatch.
 type SimBank struct {
 	members []bankMember
 	groups  []replayGroup
 	sims    []*CoverageSim
 	latch   WarmupLatch
 
-	// Pending block: events plus their latch decisions, replayed per
-	// executor by flush. Parallel slices rather than a struct to keep the
-	// event copy a straight memmove.
-	events []trace.Event
-	warm   []bool
+	// warm is the reusable latch-decision buffer for FeedBlock windows
+	// arriving while the warm-up latch is open.
+	warm []bool
 	// allMeasured is a reusable all-false warm vector for FeedBlock windows
 	// arriving after the warm-up latch has closed (the common case); it must
 	// never be written.
@@ -96,7 +94,7 @@ type SimBank struct {
 	packed []uint64
 }
 
-// bankBlockEvents is the buffered block size: large enough to amortize the
+// bankBlockEvents is the replay block size: large enough to amortize the
 // per-executor loop switch, small enough (~64KB of events) to stay
 // L2-resident alongside one executor's state.
 const bankBlockEvents = 2048
@@ -129,8 +127,7 @@ func NewSimBank(configs []Config, warmupInsts int64) (*SimBank, error) {
 	b := &SimBank{
 		members:     make([]bankMember, len(configs)),
 		latch:       NewWarmupLatch(warmupInsts),
-		events:      make([]trace.Event, 0, bankBlockEvents),
-		warm:        make([]bool, 0, bankBlockEvents),
+		warm:        make([]bool, bankBlockEvents),
 		allMeasured: make([]bool, bankBlockEvents),
 		packed:      make([]uint64, bankBlockEvents),
 	}
@@ -207,29 +204,13 @@ func NewSimBank(configs []Config, warmupInsts int64) (*SimBank, error) {
 	return b, nil
 }
 
-// Feed routes one event through the warm-up latch and buffers it for the next
-// block replay: warm while the event fits in the warm-up prefix, measured
-// once the boundary latches. This is the single entry point sweep drivers use
-// per event.
-func (b *SimBank) Feed(ev trace.Event) {
-	b.enqueue(ev, b.latch.Admit(ev.Len))
-}
-
-// Access buffers one measured event for every member, bypassing the latch.
-func (b *SimBank) Access(ev trace.Event) { b.enqueue(ev, false) }
-
-// Warm buffers one warm-up event for every member, bypassing the latch.
-func (b *SimBank) Warm(ev trace.Event) { b.enqueue(ev, true) }
-
-// FeedBlock feeds a whole slice of events through the warm-up latch in
-// order, equivalent to (but much cheaper than) calling Feed per event: the
-// slice is replayed through the executors in bankBlockEvents windows sliced
-// in place — no per-event calls, no buffering copies. The slice is read-only
-// and not retained.
+// FeedBlock feeds a slice of events through the warm-up latch in order —
+// warm while an event fits in the warm-up prefix, measured once the boundary
+// latches — and is the bank's only input: successive calls continue one
+// stream. The slice is replayed through the executors in bankBlockEvents
+// windows sliced in place, with no per-event calls and no buffering copies.
+// The slice is read-only and not retained.
 func (b *SimBank) FeedBlock(events []trace.Event) {
-	if len(b.events) > 0 {
-		b.flush()
-	}
 	for len(events) > 0 {
 		chunk := events
 		if len(chunk) > bankBlockEvents {
@@ -245,22 +226,6 @@ func (b *SimBank) FeedBlock(events []trace.Event) {
 		}
 		b.replay(chunk, warm)
 	}
-}
-
-func (b *SimBank) enqueue(ev trace.Event, warm bool) {
-	b.events = append(b.events, ev)
-	b.warm = append(b.warm, warm)
-	if len(b.events) == bankBlockEvents {
-		b.flush()
-	}
-}
-
-// flush replays the pending block through each executor in turn and empties
-// it.
-func (b *SimBank) flush() {
-	b.replay(b.events, b.warm)
-	b.events = b.events[:0]
-	b.warm = b.warm[:0]
 }
 
 // replay runs one block of events (with their warm-up decisions) through
@@ -296,28 +261,12 @@ func (b *SimBank) replay(events []trace.Event, warm []bool) {
 	}
 }
 
-// Len returns the number of member configurations.
-func (b *SimBank) Len() int { return len(b.members) }
-
 // Result returns member i's accumulated coverage result — identical to what
 // a standalone CoverageSim fed the same warm/measure sequence would report.
-// Pending buffered events are flushed first.
 func (b *SimBank) Result(i int) Result {
-	b.flush()
 	m := b.members[i]
 	if m.group != nil {
 		return m.group.result(m.lane, m.cfg)
 	}
 	return m.sim.Result()
-}
-
-// Results extracts every member's result in configuration order, flushing any
-// pending buffered events first.
-func (b *SimBank) Results() []Result {
-	b.flush()
-	out := make([]Result, len(b.members))
-	for i := range b.members {
-		out[i] = b.Result(i)
-	}
-	return out
 }

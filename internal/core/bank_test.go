@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"itr/internal/cache"
 	"itr/internal/trace"
 )
 
@@ -53,16 +54,31 @@ func randomStream(rng *rand.Rand, n, pcs int) []trace.Event {
 	return events
 }
 
+// feedSplit feeds events to the bank through FeedBlock in pieces cut at
+// random split points: empty pieces, pieces shorter than a replay block and
+// pieces spanning several blocks all occur.
+func feedSplit(rng *rand.Rand, bank *SimBank, events []trace.Event) {
+	for len(events) > 0 {
+		n := rng.Intn(3 * bankBlockEvents)
+		if n > len(events) {
+			n = len(events)
+		}
+		bank.FeedBlock(events[:n])
+		events = events[n:]
+	}
+}
+
 // TestSimBankMatchesSingleSims is the bank's central property: feeding one
 // event stream through a SimBank produces, for every member, a Result
 // identical to a standalone CoverageSim replaying the same stream through its
-// own WarmupLatch — across random streams, config subsets and warm-up
-// budgets.
+// own WarmupLatch — across random streams longer than several replay blocks,
+// random FeedBlock split points, config subsets and warm-up budgets whose
+// boundary falls inside a block.
 func TestSimBankMatchesSingleSims(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	space := DesignSpace()
 	for round := 0; round < 8; round++ {
-		events := randomStream(rng, 200+rng.Intn(800), 50+rng.Intn(1500))
+		events := randomStream(rng, 2*bankBlockEvents+rng.Intn(3*bankBlockEvents), 50+rng.Intn(1500))
 		configs := make([]Config, 2+rng.Intn(len(space)-1))
 		for i := range configs {
 			configs[i] = space[rng.Intn(len(space))]
@@ -70,17 +86,27 @@ func TestSimBankMatchesSingleSims(t *testing.T) {
 				configs[i].MissFallback = true
 			}
 		}
+		// Even rounds measure everything; odd rounds put the warm-up
+		// boundary strictly inside the stream, at a random instruction.
 		warmup := int64(0)
-		if rng.Intn(2) == 0 {
-			warmup = int64(rng.Intn(2000))
+		if round%2 == 1 {
+			total := int64(0)
+			for _, ev := range events {
+				total += int64(ev.Len)
+			}
+			warmup = 1 + rng.Int63n(total-1)
 		}
 
 		bank, err := NewSimBank(configs, warmup)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, ev := range events {
-			bank.Feed(ev)
+		if round < 2 {
+			// One call: the latch closes inside one of FeedBlock's own
+			// replay windows.
+			bank.FeedBlock(events)
+		} else {
+			feedSplit(rng, bank, events)
 		}
 
 		for ci, cfg := range configs {
@@ -101,15 +127,56 @@ func TestSimBankMatchesSingleSims(t *testing.T) {
 					round, cfg, warmup, got, want)
 			}
 		}
+	}
+}
 
-		all := bank.Results()
-		if len(all) != bank.Len() || bank.Len() != len(configs) {
-			t.Fatalf("Results/Len shape: %d results, Len %d, %d configs", len(all), bank.Len(), len(configs))
+// TestSimBankWarmupBoundaryMidBlock pins the case a random draw may miss: the
+// warm-up latch closing in the middle of a replay window that is neither the
+// first window nor the first FeedBlock call, with a straddling event at the
+// boundary and short events after it that would still fit.
+func TestSimBankWarmupBoundaryMidBlock(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	events := randomStream(rng, 3*bankBlockEvents, 400)
+	// Boundary event: index bankBlockEvents + bankBlockEvents/2, made a
+	// straddler by ending warm-up one instruction into it; the events after
+	// it are short enough that a latch-free rule would warm them.
+	k := bankBlockEvents + bankBlockEvents/2
+	events[k].Len = 8
+	for i := k + 1; i < k+4; i++ {
+		events[i].Len = 1
+	}
+	warmup := int64(1)
+	for _, ev := range events[:k] {
+		warmup += int64(ev.Len)
+	}
+	configs := []Config{DefaultConfig(), {Entries: 256, Assoc: 1}, {Entries: 512, Assoc: 4, Replacement: cache.ReplCheckedLRU}}
+
+	bank, err := NewSimBank(configs, warmup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bank.FeedBlock(events[:100])
+	bank.FeedBlock(events[100 : k+10])
+	bank.FeedBlock(events[k+10:])
+
+	for ci, cfg := range configs {
+		sim, err := NewCoverageSim(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range all {
-			if !reflect.DeepEqual(all[i], bank.Result(i)) {
-				t.Fatalf("Results()[%d] != Result(%d)", i, i)
+		for i, ev := range events {
+			if i < k {
+				sim.Warm(ev)
+			} else {
+				sim.Access(ev)
 			}
+		}
+		want := sim.Result()
+		if want.TraceEvents != int64(len(events)-k) {
+			t.Fatalf("oracle measured %d events, want %d", want.TraceEvents, len(events)-k)
+		}
+		if got := bank.Result(ci); !reflect.DeepEqual(got, want) {
+			t.Errorf("config %s: bank result diverges from the boundary oracle\n bank: %+v\n sim:  %+v", cfg, got, want)
 		}
 	}
 }

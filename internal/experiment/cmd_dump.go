@@ -19,7 +19,6 @@ func bindDump(fs *flag.FlagSet, s *Spec) {
 	fs.IntVar(&s.Dump.N, "n", s.Dump.N, "instructions to disassemble")
 	fs.BoolVar(&s.Dump.Traces, "traces", s.Dump.Traces, "print the static trace table (dynamic, with signatures)")
 	fs.Int64Var(&s.Budget, "budget", s.Budget, "instruction budget for dynamic trace discovery")
-	fs.IntVar(&s.Workers, "workers", s.Workers, "accepted for compatibility; dump runs a single functional walk")
 }
 
 // runDump inspects a synthesized benchmark program: disassembly, static

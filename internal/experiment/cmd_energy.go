@@ -3,6 +3,7 @@ package experiment
 import (
 	"flag"
 	"fmt"
+	"io"
 
 	"itr/internal/baseline"
 	"itr/internal/core"
@@ -71,7 +72,7 @@ func runEnergy(e *Engine) error {
 	if s.Energy.Baselines {
 		if err := e.stage("baselines", func() error {
 			fmt.Fprintln(w)
-			return printBaselines(e, s.Budget, scale)
+			return printBaselines(w, rep, s.Budget, scale)
 		}); err != nil {
 			return err
 		}
@@ -97,29 +98,24 @@ func runEnergy(e *Engine) error {
 	return e.writeArtifact(art)
 }
 
-func printBaselines(e *Engine, budget, scale int64) error {
-	w := e.out
+// printBaselines compares every protection approach per benchmark on the
+// headline ITR cache. Both coverage configurations (plain and miss-fallback)
+// come from one sweep over the shared memoized event streams; the measured
+// dynamic instruction count is the replay's TotalInsts, as in Figure 9.
+func printBaselines(w io.Writer, rep *report.Engine, budget, scale int64) error {
 	fmt.Fprintln(w, "Approach comparison (per benchmark, headline ITR cache):")
 	t := stats.NewTable("benchmark", "approach", "det cov (%)", "rec cov (%)", "energy (mJ)", "area (cm^2)")
 	baseCfg := core.DefaultConfig()
 	fbCfg := baseCfg
 	fbCfg.MissFallback = true
-	for _, p := range workload.Suite() {
-		// One stream traversal fans out to both baseline configurations.
-		bank, err := core.NewSimBank([]core.Config{baseCfg, fbCfg}, 0)
-		if err != nil {
-			return err
-		}
-		info, err := workload.StreamEvents(p, p.ScaledBudget(budget), bank.Feed)
-		if err != nil {
-			return err
-		}
-		executed := info.Insts
-		if info.Generated {
-			e.sweep.StreamsGenerated.Add(1)
-		}
-		e.sweep.EventsReplayed.Add(info.Events)
-		e.sweep.CellsCompleted.Add(int64(bank.Len()))
+	suite := workload.Suite()
+	cells, err := rep.CoverageSweep(suite, []core.Config{baseCfg, fbCfg}, budget)
+	if err != nil {
+		return err
+	}
+	for i, p := range suite {
+		base, fb := cells[2*i].Result, cells[2*i+1].Result
+		executed := base.TotalInsts
 		rescale := func(res core.Result) core.Result {
 			if scale > 0 && executed > 0 {
 				f := float64(scale) / float64(executed)
@@ -129,8 +125,7 @@ func printBaselines(e *Engine, budget, scale int64) error {
 			}
 			return res
 		}
-		base := rescale(bank.Result(0))
-		fb := rescale(bank.Result(1))
+		base, fb = rescale(base), rescale(fb)
 		dyn := executed
 		if scale > 0 {
 			dyn = scale

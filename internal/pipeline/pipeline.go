@@ -296,12 +296,8 @@ type CPU struct {
 	spec      *specState
 
 	pred *Predictor
-	// det is the attached detection backend; itr is the same object when
-	// (and only when) the backend is the default ITR checker, so the
-	// per-commit hot calls stay devirtualized and inlinable on the default
-	// path.
+	// det is the attached detection backend.
 	det           core.Detector
-	itr           *core.Checker
 	renameChecker *core.Checker
 	renameSig     renameState
 	ckpt          *checkpoint.Manager
@@ -428,7 +424,6 @@ func New(prog *program.Program, cfg Config) (*CPU, error) {
 			return nil, fmt.Errorf("pipeline: %w", err)
 		}
 		c.det = det
-		c.itr, _ = det.(*core.Checker)
 		c.detMismatch = det.MismatchCount()
 	}
 	if cfg.RenameITREnabled {
@@ -520,7 +515,10 @@ func (c *CPU) checkpointRecover(faultyTracePC uint64) (restartPC uint64, ok bool
 // ITR one (nil when detection is disabled or a rival backend is attached).
 // ITR-specific studies and tests reach the cache through it; backend-generic
 // code uses Detector instead.
-func (c *CPU) Checker() *core.Checker { return c.itr }
+func (c *CPU) Checker() *core.Checker {
+	chk, _ := c.det.(*core.Checker)
+	return chk
+}
 
 // Detector exposes the attached detection backend (nil when disabled).
 func (c *CPU) Detector() core.Detector { return c.det }
@@ -679,15 +677,7 @@ func (c *CPU) commitStage() {
 		}
 		if c.det != nil {
 			c.detPolls++
-			// The concrete-type call on the default backend inlines; rival
-			// backends take the interface call.
-			var quick bool
-			if c.itr != nil {
-				quick = c.itr.PollQuick()
-			} else {
-				quick = c.det.PollQuick()
-			}
-			if !quick {
+			if !c.det.PollQuick() {
 				a := c.det.Poll()
 				// Slow polls are where mismatches surface, so stamping
 				// here keeps detection-latency tracking off the
@@ -698,43 +688,13 @@ func (c *CPU) commitStage() {
 				if *c.detMismatch > c.detStamped {
 					c.stampDetections()
 				}
-				switch a.Kind {
-				case core.ActionStall:
-					return
-				case core.ActionRetry:
-					c.itrFlush(a.RestartPC)
-					return
-				case core.ActionMachineCheck:
-					if c.ckpt != nil {
-						if restart, ok := c.checkpointRecover(a.RestartPC); ok {
-							c.itrFlush(restart)
-							return
-						}
-					}
-					c.terminated = true
-					c.termination = TermMachineCheck
+				if c.act(a) {
 					return
 				}
 			}
 		}
-		if c.renameChecker != nil && !c.renameChecker.PollQuick() {
-			switch a := c.renameChecker.Poll(); a.Kind {
-			case core.ActionStall:
-				return
-			case core.ActionRetry:
-				c.itrFlush(a.RestartPC)
-				return
-			case core.ActionMachineCheck:
-				if c.ckpt != nil {
-					if restart, ok := c.checkpointRecover(a.RestartPC); ok {
-						c.itrFlush(restart)
-						return
-					}
-				}
-				c.terminated = true
-				c.termination = TermMachineCheck
-				return
-			}
+		if c.renameChecker != nil && !c.renameChecker.PollQuick() && c.act(c.renameChecker.Poll()) {
+			return
 		}
 		// TAC (scheduler) assertion: flush and re-execute on an issue-order
 		// violation, before the stale result can commit.
@@ -765,9 +725,7 @@ func (c *CPU) commitStage() {
 			c.spec.overlay.commitStore(out.MemAddr)
 		}
 		c.committedCount++
-		if c.itr != nil {
-			c.itr.SetNow(c.committedCount)
-		} else if c.det != nil {
+		if c.det != nil {
 			c.det.SetNow(c.committedCount)
 		}
 		c.lastCommitCycle = c.cycle
@@ -775,13 +733,11 @@ func (c *CPU) commitStage() {
 			c.observer(pc, out)
 		}
 		if flags&slotTraceEnd != 0 {
-			if c.itr != nil {
-				c.itr.CommitTraceEnd()
-			} else if c.det != nil {
+			if c.det != nil {
 				// Rival backends (RepTFD, DME) record mismatches during
 				// trace retirement rather than in Poll; stamp them here.
-				// The devirtualized ITR path records only in Poll, so it
-				// skips the extra check. The counter load keeps the
+				// The ITR checker records only in Poll, so for it the
+				// guard never fires. The counter load keeps the
 				// no-mismatch case (every fault-free trace) call-free.
 				c.det.CommitTraceEnd()
 				if *c.detMismatch > c.detStamped {
@@ -799,6 +755,33 @@ func (c *CPU) commitStage() {
 			return
 		}
 	}
+}
+
+// act carries out a detector's commit-time action — the same for the main
+// detector and the rename checker — and reports whether commit must stop
+// this cycle: stall until the trace's check resolves, flush and restart on a
+// retry, and on a machine check roll back to a coarse-grain checkpoint when
+// one provably predates the fault, terminating otherwise. Proceed and
+// parity-recovered actions let the instruction commit.
+func (c *CPU) act(a core.Action) bool {
+	switch a.Kind {
+	case core.ActionStall:
+		return true
+	case core.ActionRetry:
+		c.itrFlush(a.RestartPC)
+		return true
+	case core.ActionMachineCheck:
+		if c.ckpt != nil {
+			if restart, ok := c.checkpointRecover(a.RestartPC); ok {
+				c.itrFlush(restart)
+				return true
+			}
+		}
+		c.terminated = true
+		c.termination = TermMachineCheck
+		return true
+	}
+	return false
 }
 
 // stampDetections timestamps any mismatches the detector has recorded

@@ -96,7 +96,3 @@ func (e *Engine) forEach(n int, fn func(i int) error) error {
 	}
 	return nil
 }
-
-// defaultEngine backs the package-level convenience wrappers: full-width
-// pool, no observer.
-var defaultEngine = &Engine{}

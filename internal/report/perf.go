@@ -74,11 +74,6 @@ func (e *Engine) PerfComparison(profiles []workload.Profile, cycles int64) ([]Pe
 	return rows, nil
 }
 
-// PerfComparison runs on the default engine (full-width pool).
-func PerfComparison(profiles []workload.Profile, cycles int64) ([]PerfRow, error) {
-	return defaultEngine.PerfComparison(profiles, cycles)
-}
-
 // PerfTable renders the comparison with slowdown percentages.
 func PerfTable(rows []PerfRow) *stats.Table {
 	t := stats.NewTable("benchmark", "base IPC", "ITR IPC", "dual-decode IPC", "time-redundant IPC", "TR slowdown (%)")

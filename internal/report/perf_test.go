@@ -6,7 +6,7 @@ import (
 )
 
 func TestPerfComparison(t *testing.T) {
-	rows, err := PerfComparison(small(t, "gap"), 40_000)
+	rows, err := (&Engine{}).PerfComparison(small(t, "gap"), 40_000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,17 +35,16 @@ import (
 // execution once between them.
 func (e *Engine) Characterization(p workload.Profile, budget int64) (*trace.Characterizer, error) {
 	c := trace.NewCharacterizer()
-	info, err := workload.StreamEvents(p, p.ScaledBudget(budget), func(ev trace.Event) { c.Add(ev) })
+	info, err := workload.StreamEventSlices(p, p.ScaledBudget(budget), func(events []trace.Event) {
+		for _, ev := range events {
+			c.Add(ev)
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
 	e.observe(info)
 	return c, nil
-}
-
-// Characterization runs on the default engine.
-func Characterization(p workload.Profile, budget int64) (*trace.Characterizer, error) {
-	return defaultEngine.Characterization(p, budget)
 }
 
 // PopularityFigure produces Figure 1 (SPECint, step 100 up to 1000) or
@@ -69,11 +68,6 @@ func (e *Engine) PopularityFigure(profiles []workload.Profile, step, limit int, 
 		return nil, err
 	}
 	return series, nil
-}
-
-// PopularityFigure runs on the default engine (full-width pool).
-func PopularityFigure(profiles []workload.Profile, step, limit int, budget int64) ([]stats.Series, error) {
-	return defaultEngine.PopularityFigure(profiles, step, limit, budget)
 }
 
 // DistanceFigure produces Figure 3 (SPECint) or Figure 4 (SPECfp): one
@@ -101,11 +95,6 @@ func (e *Engine) DistanceFigure(profiles []workload.Profile, budget int64) ([]st
 		return nil, err
 	}
 	return series, nil
-}
-
-// DistanceFigure runs on the default engine (full-width pool).
-func DistanceFigure(profiles []workload.Profile, budget int64) ([]stats.Series, error) {
-	return defaultEngine.DistanceFigure(profiles, budget)
 }
 
 // Table1Row is one row of the paper's Table 1 reproduction.
@@ -142,11 +131,6 @@ func (e *Engine) Table1(budget int64) ([]Table1Row, error) {
 	return rows, nil
 }
 
-// Table1 runs on the default engine (full-width pool).
-func Table1(budget int64) ([]Table1Row, error) {
-	return defaultEngine.Table1(budget)
-}
-
 // CoverageCell is one (benchmark, configuration) point of Figures 6-7.
 type CoverageCell struct {
 	Benchmark string
@@ -161,11 +145,6 @@ func (e *Engine) CoverageSweep(profiles []workload.Profile, configs []core.Confi
 	return e.CoverageSweepWarm(profiles, configs, budget, 0)
 }
 
-// CoverageSweep runs on the default engine (full-width pool).
-func CoverageSweep(profiles []workload.Profile, configs []core.Config, budget int64) ([]CoverageCell, error) {
-	return defaultEngine.CoverageSweepWarm(profiles, configs, budget, 0)
-}
-
 // CoverageSweepWarm is CoverageSweep with a warm-up prefix: the first
 // warmupInsts instructions of each stream prime the ITR cache without being
 // charged, mirroring the paper's 900M-instruction skip before its
@@ -173,12 +152,11 @@ func CoverageSweep(profiles []workload.Profile, configs []core.Config, budget in
 //
 // Each benchmark is one unit of work on the report worker pool: a
 // core.SimBank holding every configuration is driven in lockstep from a
-// single traversal of the benchmark's event stream (straight from
-// trace.Stream on a workload-cache miss, replayed from the memo cache
-// otherwise), instead of one traversal per configuration. Results are
-// slotted by index, so the returned cell order (suite order, then config
-// order) and every value are bit-identical to the per-cell reference path
-// (CoverageSweepWarmPerCell) at any pool width.
+// single traversal of the benchmark's memoized event stream, instead of one
+// traversal per configuration. Results are slotted by index, so the returned
+// cell order (suite order, then config order) and every value are
+// bit-identical at any pool width to the per-cell reference path, which
+// lives in the package tests as the sweep's oracle.
 func (e *Engine) CoverageSweepWarm(profiles []workload.Profile, configs []core.Config, budget, warmupInsts int64) ([]CoverageCell, error) {
 	cells := make([]CoverageCell, len(profiles)*len(configs))
 	err := e.forEach(len(profiles), func(pi int) error {
@@ -204,68 +182,6 @@ func (e *Engine) CoverageSweepWarm(profiles []workload.Profile, configs []core.C
 		return nil, err
 	}
 	return cells, nil
-}
-
-// CoverageSweepWarm runs on the default engine (full-width pool).
-func CoverageSweepWarm(profiles []workload.Profile, configs []core.Config, budget, warmupInsts int64) ([]CoverageCell, error) {
-	return defaultEngine.CoverageSweepWarm(profiles, configs, budget, warmupInsts)
-}
-
-// CoverageSweepWarmPerCell is the pre-bank reference implementation of the
-// sweep: event streams materialized per benchmark, then one full stream
-// traversal per (benchmark, configuration) cell. It is retained as the
-// oracle for the single-pass path's bit-identity property tests and as the
-// regression baseline (BenchmarkCoverageSweepSerial); CoverageSweepWarm
-// returns identical cells from one traversal per benchmark.
-func (e *Engine) CoverageSweepWarmPerCell(profiles []workload.Profile, configs []core.Config, budget, warmupInsts int64) ([]CoverageCell, error) {
-	streams := make([][]trace.Event, len(profiles))
-	err := e.forEach(len(profiles), func(pi int) error {
-		p := profiles[pi]
-		return e.item(p.Name, func() error {
-			events, err := workload.CachedEvents(p, p.ScaledBudget(budget)+warmupInsts)
-			if err != nil {
-				return fmt.Errorf("%s: %w", p.Name, err)
-			}
-			streams[pi] = events
-			return nil
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	cells := make([]CoverageCell, len(profiles)*len(configs))
-	err = e.forEach(len(cells), func(i int) error {
-		pi, ci := i/len(configs), i%len(configs)
-		p, cfg := profiles[pi], configs[ci]
-		return e.item(p.Name, func() error {
-			sim, err := core.NewCoverageSim(cfg)
-			if err != nil {
-				return fmt.Errorf("%s %s: %w", p.Name, cfg, err)
-			}
-			replayWarm(sim, streams[pi], warmupInsts)
-			cells[i] = CoverageCell{Benchmark: p.Name, Config: cfg, Result: sim.Result()}
-			return nil
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	return cells, nil
-}
-
-// replayWarm drives one coverage simulator over a shared (read-only) event
-// stream, delegating the warm-up boundary rule to the same core.WarmupLatch
-// that governs SimBank fan-out — the two replay paths cannot diverge.
-func replayWarm(sim *core.CoverageSim, events []trace.Event, warmupInsts int64) {
-	latch := core.NewWarmupLatch(warmupInsts)
-	for _, ev := range events {
-		if latch.Admit(ev.Len) {
-			sim.Warm(ev)
-		} else {
-			sim.Access(ev)
-		}
-	}
 }
 
 // CoverageTable renders a Figures 6/7-shaped table: one row per
@@ -349,11 +265,6 @@ func (e *Engine) HeadlineCoverage(budget int64) (Headline, error) {
 	return h, nil
 }
 
-// HeadlineCoverage runs on the default engine (full-width pool).
-func HeadlineCoverage(budget int64) (Headline, error) {
-	return defaultEngine.HeadlineCoverage(budget)
-}
-
 // Figure8Row is one benchmark's fault-injection outcome breakdown.
 type Figure8Row struct {
 	Benchmark string
@@ -387,13 +298,6 @@ func (e *Engine) Figure8(profiles []workload.Profile, cfg fault.CampaignConfig) 
 		return nil, err
 	}
 	return rows, nil
-}
-
-// Figure8 runs on the default engine (full-width pool over benchmarks);
-// prefer an explicit Engine{Workers: 1} when cfg.Workers parallelizes the
-// injections instead.
-func Figure8(profiles []workload.Profile, cfg fault.CampaignConfig) ([]Figure8Row, error) {
-	return defaultEngine.Figure8(profiles, cfg)
 }
 
 // Figure8Table renders the outcome breakdown with one row per benchmark and
@@ -487,11 +391,6 @@ func (e *Engine) Figure9(profiles []workload.Profile, budget, scaleInsts int64) 
 		}
 	}
 	return rows, nil
-}
-
-// Figure9 runs on the default engine (full-width pool).
-func Figure9(profiles []workload.Profile, budget, scaleInsts int64) ([]Figure9Row, error) {
-	return defaultEngine.Figure9(profiles, budget, scaleInsts)
 }
 
 // Figure9Table renders the energy comparison.

@@ -27,7 +27,7 @@ func small(t *testing.T, names ...string) []workload.Profile {
 }
 
 func TestPopularityFigureShape(t *testing.T) {
-	series, err := PopularityFigure(small(t, "bzip", "art"), 100, 1000, testBudget)
+	series, err := (&Engine{}).PopularityFigure(small(t, "bzip", "art"), 100, 1000, testBudget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestPopularityFigureShape(t *testing.T) {
 }
 
 func TestDistanceFigureShape(t *testing.T) {
-	series, err := DistanceFigure(small(t, "bzip"), testBudget)
+	series, err := (&Engine{}).DistanceFigure(small(t, "bzip"), testBudget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestDistanceFigureShape(t *testing.T) {
 }
 
 func TestTable1SmallBudgetUndercountsGcc(t *testing.T) {
-	rows, err := Table1(testBudget)
+	rows, err := (&Engine{}).Table1(testBudget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestTable1SmallBudgetUndercountsGcc(t *testing.T) {
 
 func TestCoverageSweepGrid(t *testing.T) {
 	profiles := small(t, "vpr")
-	cells, err := CoverageSweep(profiles, core.DesignSpace(), testBudget)
+	cells, err := (&Engine{}).CoverageSweep(profiles, core.DesignSpace(), testBudget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestCoverageSweepGrid(t *testing.T) {
 }
 
 func TestCoverageTableRendering(t *testing.T) {
-	cells, err := CoverageSweep(small(t, "vpr"), core.DesignSpace(), testBudget)
+	cells, err := (&Engine{}).CoverageSweep(small(t, "vpr"), core.DesignSpace(), testBudget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestHeadlineCoverageSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("headline sweeps all 16 benchmarks")
 	}
-	h, err := HeadlineCoverage(1_000_000)
+	h, err := (&Engine{}).HeadlineCoverage(1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestFigure8SmallCampaign(t *testing.T) {
 	cfg := fault.DefaultCampaignConfig()
 	cfg.Faults = 5
 	cfg.Experiment.WindowCycles = 30_000
-	rows, err := Figure8(small(t, "art"), cfg)
+	rows, err := (&Engine{}).Figure8(small(t, "art"), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestFigure8SmallCampaign(t *testing.T) {
 }
 
 func TestFigure9ShapeAndScaling(t *testing.T) {
-	rows, err := Figure9(small(t, "bzip", "swim"), testBudget, 200_000_000)
+	rows, err := (&Engine{}).Figure9(small(t, "bzip", "swim"), testBudget, 200_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestFigure9ShapeAndScaling(t *testing.T) {
 		}
 	}
 	// Unscaled rows are much smaller.
-	raw, err := Figure9(small(t, "bzip"), testBudget, 0)
+	raw, err := (&Engine{}).Figure9(small(t, "bzip"), testBudget, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

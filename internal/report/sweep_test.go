@@ -1,14 +1,88 @@
 package report
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"itr/internal/core"
 	"itr/internal/energy"
+	"itr/internal/trace"
 	"itr/internal/workload"
 )
+
+// coverageSweepPerCell is the sweep's reference oracle: event streams
+// materialized per benchmark, then one full stream traversal per (benchmark,
+// configuration) cell through a standalone core.CoverageSim. The single-pass
+// CoverageSweepWarm must return identical cells from one traversal per
+// benchmark (TestSweepSinglePassMatchesPerCell), and
+// BenchmarkCoverageSweepSerial measures it as the regression baseline.
+func (e *Engine) coverageSweepPerCell(profiles []workload.Profile, configs []core.Config, budget, warmupInsts int64) ([]CoverageCell, error) {
+	streams := make([][]trace.Event, len(profiles))
+	err := e.forEach(len(profiles), func(pi int) error {
+		p := profiles[pi]
+		return e.item(p.Name, func() error {
+			events, err := cachedStream(p, p.ScaledBudget(budget)+warmupInsts)
+			if err != nil {
+				return fmt.Errorf("%s: %w", p.Name, err)
+			}
+			streams[pi] = events
+			return nil
+		})
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	cells := make([]CoverageCell, len(profiles)*len(configs))
+	err = e.forEach(len(cells), func(i int) error {
+		pi, ci := i/len(configs), i%len(configs)
+		p, cfg := profiles[pi], configs[ci]
+		return e.item(p.Name, func() error {
+			sim, err := core.NewCoverageSim(cfg)
+			if err != nil {
+				return fmt.Errorf("%s %s: %w", p.Name, cfg, err)
+			}
+			replayWarm(sim, streams[pi], warmupInsts)
+			cells[i] = CoverageCell{Benchmark: p.Name, Config: cfg, Result: sim.Result()}
+			return nil
+		})
+	})
+	if err != nil {
+		return nil, err
+	}
+	return cells, nil
+}
+
+// cachedStream materializes the memoized event stream of p at budget as one
+// read-only slice. A whole-event prefix is the cache's own backing array
+// (delivered with cap == len, so appending the partial tail copies).
+func cachedStream(p workload.Profile, budget int64) ([]trace.Event, error) {
+	var events []trace.Event
+	_, err := workload.StreamEventSlices(p, budget, func(s []trace.Event) {
+		if events == nil {
+			events = s
+			return
+		}
+		events = append(events, s...)
+	})
+	return events, err
+}
+
+// replayWarm drives one coverage simulator over a shared (read-only) event
+// stream, delegating the warm-up boundary rule to the same core.WarmupLatch
+// that governs SimBank fan-out — the two replay paths cannot diverge.
+func replayWarm(sim *core.CoverageSim, events []trace.Event, warmupInsts int64) {
+	latch := core.NewWarmupLatch(warmupInsts)
+	for _, ev := range events {
+		if latch.Admit(ev.Len) {
+			sim.Warm(ev)
+		} else {
+			sim.Access(ev)
+		}
+	}
+}
 
 // TestSweepSinglePassMatchesPerCell is the sweep engine's bit-identity
 // property: the single-pass bank path returns exactly the cells the per-cell
@@ -33,7 +107,7 @@ func TestSweepSinglePassMatchesPerCell(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		perCell, err := eng.CoverageSweepWarmPerCell(profiles, configs, testBudget, warmup)
+		perCell, err := eng.coverageSweepPerCell(profiles, configs, testBudget, warmup)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +145,7 @@ func TestSweepRenderingIdenticalAcrossPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := wide.CoverageSweepWarmPerCell(profiles, configs, testBudget, 5_000)
+	c, err := wide.coverageSweepPerCell(profiles, configs, testBudget, 5_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +164,7 @@ func TestSweepRenderingIdenticalAcrossPaths(t *testing.T) {
 func TestFigure9MatchesDirectSimulation(t *testing.T) {
 	profiles := small(t, "vpr", "swim")
 	const scaleInsts = 200_000_000
-	rows, err := Figure9(profiles, testBudget, scaleInsts)
+	rows, err := (&Engine{}).Figure9(profiles, testBudget, scaleInsts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,3 +237,83 @@ func TestSweepProbeTelemetry(t *testing.T) {
 		t.Errorf("cells completed %d after second sweep, want %d", got, want)
 	}
 }
+
+// TestCharacterizationMatchesDirect pins Characterization's read of the
+// memoized stream: on a cache miss, on a hit, and on a hit served as a
+// shorter prefix, it equals a characterizer driven straight from
+// trace.Characterize on a freshly built program, and the probe sees a
+// stream generation on the miss only.
+func TestCharacterizationMatchesDirect(t *testing.T) {
+	p := small(t, "swim")[0]
+	// A unique name gives the profile its own memo-cache entry, so the
+	// first call below is a miss whatever other tests have run.
+	p.Name = "swim-characterization-miss"
+	prog, err := workload.Build(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := &Probe{}
+	eng := &Engine{Probe: probe}
+	for _, tc := range []struct {
+		name      string
+		budget    int64
+		generated bool
+	}{
+		{"miss", testBudget, true},
+		{"hit", testBudget, false},
+		{"prefix hit", testBudget/2 + 3, false},
+	} {
+		before := probe.StreamsGenerated.Load()
+		got, err := eng.Characterization(p, tc.budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gen := probe.StreamsGenerated.Load() > before; gen != tc.generated {
+			t.Errorf("%s: stream generated = %v, want %v", tc.name, gen, tc.generated)
+		}
+		if want := trace.Characterize(prog, p.ScaledBudget(tc.budget)); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: characterization at budget %d differs from trace.Characterize", tc.name, tc.budget)
+		}
+	}
+}
+
+// sweepBenchBudget is the per-benchmark instruction budget of the per-cell
+// sweep benchmarks; it equals the root package's figure-benchmark budget, so
+// they stay comparable with BenchmarkCoverageSweepSinglePass there.
+const sweepBenchBudget = 1_500_000
+
+// sweepEngineBench runs the full 16-benchmark x 18-configuration design-space
+// sweep at the given worker-pool width through the per-cell reference path
+// (one stream traversal per cell) — the baseline the single-pass engine is
+// measured against.
+func sweepEngineBench(b *testing.B, workers int) {
+	eng := &Engine{Workers: workers}
+	// One untimed sweep first: event streams are memoized per benchmark, so
+	// this pins the measurement to the replay engine rather than charging
+	// whichever variant runs first for one-time event generation.
+	if _, err := eng.coverageSweepPerCell(workload.Suite(), core.DesignSpace(), sweepBenchBudget, 0); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cells, err := eng.coverageSweepPerCell(workload.Suite(), core.DesignSpace(), sweepBenchBudget, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(cells) != len(workload.Suite())*len(core.DesignSpace()) {
+			b.Fatalf("sweep returned %d cells", len(cells))
+		}
+	}
+}
+
+// BenchmarkCoverageSweepSerial is the per-cell design-space sweep pinned to
+// one worker — the regression baseline for the single-core replay hot path
+// and the reference BenchmarkCoverageSweepSinglePass is compared against.
+func BenchmarkCoverageSweepSerial(b *testing.B) { sweepEngineBench(b, 1) }
+
+// BenchmarkCoverageSweepParallel is the same per-cell sweep on the default
+// pool (GOMAXPROCS workers); on a multi-core host the speedup over Serial is
+// the parallel engine's contribution, and results are bit-identical either
+// way.
+func BenchmarkCoverageSweepParallel(b *testing.B) { sweepEngineBench(b, 0) }

@@ -16,21 +16,11 @@ import (
 // accepts a flag to raise the budget to paper scale.
 const DefaultBudget = 4_000_000
 
-// Events builds the benchmark program and returns its dynamic trace-event
-// stream for the given instruction budget, along with the instructions
-// executed. The stream is what drives the ITR cache: coverage sweeps replay
-// it against many cache configurations without re-running the program.
-func Events(p Profile, budget int64) ([]trace.Event, int64, error) {
-	prog, err := Build(p)
-	if err != nil {
-		return nil, 0, err
-	}
-	events, executed := EventsOf(prog, budget)
-	return events, executed, nil
-}
-
 // EventsOf streams an already-built program, returning the trace events and
-// the number of dynamic instructions executed.
+// the number of dynamic instructions executed. It is the uncached reference
+// every memoized delivery (StreamEventSlices) must match bit for bit; the
+// stream is what drives the ITR cache: coverage sweeps replay it against
+// many cache configurations without re-running the program.
 func EventsOf(prog *program.Program, budget int64) ([]trace.Event, int64) {
 	events := make([]trace.Event, 0, budget/8)
 	executed := trace.Stream(prog, budget, func(ev trace.Event) bool {
@@ -114,9 +104,9 @@ func (e *cacheEntry) coversLocked(budget int64) bool {
 }
 
 // generateLocked functionally executes prog for at most budget instructions,
-// memoizing the event stream (with its cumulative instruction counts) and
-// delivering each event to fn as it forms. Callers hold e.mu.
-func (e *cacheEntry) generateLocked(prog *program.Program, budget int64, fn func(trace.Event)) {
+// memoizing the event stream with its cumulative instruction counts. Callers
+// hold e.mu.
+func (e *cacheEntry) generateLocked(prog *program.Program, budget int64) {
 	streamGens.Add(1)
 	events := make([]trace.Event, 0, budget/8)
 	cum := make([]int64, 0, budget/8)
@@ -125,9 +115,6 @@ func (e *cacheEntry) generateLocked(prog *program.Program, budget int64, fn func
 		events = append(events, ev)
 		total += int64(ev.Len)
 		cum = append(cum, total)
-		if fn != nil {
-			fn(ev)
-		}
 		return true
 	})
 	e.have = true
@@ -173,41 +160,18 @@ func partialPrefix(prog *program.Program, ev trace.Event, r int) trace.Event {
 	return trace.Event{StartPC: ev.StartPC, Len: acc.Len(), Sig: acc.Value(), Partial: true}
 }
 
-// CachedEvents returns a memoized trace-event stream for p at the given
-// budget — bit-identical to a fresh EventsOf run at that budget. A cached
-// stream generated at a larger budget serves the request as a prefix
-// re-slice (allocating only when the budget cuts an event in half); a
-// request beyond the cached budget regenerates at the larger budget, which
-// then serves both. Safe for concurrent use; callers must treat the returned
-// slice as read-only — whole-prefix results share the cached backing array.
-func CachedEvents(p Profile, budget int64) ([]trace.Event, error) {
-	prog, err := CachedProgram(p)
-	if err != nil {
-		return nil, err
-	}
-	e := entryOf(p.Name)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !e.coversLocked(budget) {
-		e.generateLocked(prog, budget, nil)
-	}
-	k, tail, hasTail := e.cutLocked(prog, budget)
-	if !hasTail {
-		return e.events[:k:k], nil
-	}
-	out := make([]trace.Event, k+1)
-	copy(out, e.events[:k])
-	out[k] = tail
-	return out, nil
-}
-
-// StreamEventSlices is StreamEvents for block consumers: it delivers the
-// identical event sequence as at most two read-only slices — the cached
-// whole-event prefix in place (zero copies, zero per-event calls) plus the
-// rebuilt partial tail when the budget cuts an event in half. On a cache
-// miss the stream is generated (and memoized) first, then delivered from the
-// cache. fn must not retain or mutate the slices; they share the cached
-// backing array.
+// StreamEventSlices is the one memoized entry point to benchmark p's
+// trace-event stream at the given budget: every replay (characterization,
+// coverage sweeps, energy) reads the stream through it. It delivers the event
+// sequence a fresh EventsOf run at that budget produces, bit for bit, as at
+// most two read-only slices: the cached whole-event prefix in place (zero
+// copies, zero per-event calls) plus the rebuilt partial tail when the budget
+// cuts an event in half. A stream cached at a larger budget serves the
+// request as a prefix; a request beyond the cached budget regenerates at the
+// larger budget, which then serves both. On a cache miss the stream is
+// generated (and memoized) first, then delivered from the cache. fn may
+// retain the slices but must not mutate them: they share the cached backing
+// array, which a later regeneration replaces rather than overwrites.
 //
 // fn runs with the benchmark's cache entry locked and must not call back
 // into this package for the same benchmark.
@@ -222,7 +186,7 @@ func StreamEventSlices(p Profile, budget int64, fn func([]trace.Event)) (StreamI
 	var info StreamInfo
 	if !e.coversLocked(budget) {
 		info.Generated = true
-		e.generateLocked(prog, budget, nil)
+		e.generateLocked(prog, budget)
 	}
 	k, tail, hasTail := e.cutLocked(prog, budget)
 	if k > 0 {
@@ -238,7 +202,7 @@ func StreamEventSlices(p Profile, budget int64, fn func([]trace.Event)) (StreamI
 	return info, nil
 }
 
-// StreamInfo summarizes one StreamEvents call for sweep telemetry.
+// StreamInfo summarizes one StreamEventSlices call for sweep telemetry.
 type StreamInfo struct {
 	// Events and Insts count the trace events delivered to fn and the
 	// dynamic instructions they cover.
@@ -247,49 +211,4 @@ type StreamInfo struct {
 	// Generated reports whether the stream was functionally generated on
 	// this call (a cache miss) rather than replayed from the memo cache.
 	Generated bool
-}
-
-// StreamEvents drives fn over benchmark p's trace-event stream at the given
-// budget — the single-traversal substrate of the sweep engine. A cached
-// stream covering the budget is replayed in place (serving the exact prefix
-// when the cache was generated at a larger budget, with no slice
-// materialization); on a cache miss the program executes functionally and
-// events are delivered to fn as they form, teeing into the memoization cache
-// so later callers replay instead of re-executing. The event sequence fn
-// observes is bit-identical to EventsOf(prog, budget).
-//
-// fn runs with the benchmark's cache entry locked and must not call back
-// into this package for the same benchmark.
-func StreamEvents(p Profile, budget int64, fn func(trace.Event)) (StreamInfo, error) {
-	prog, err := CachedProgram(p)
-	if err != nil {
-		return StreamInfo{}, err
-	}
-	e := entryOf(p.Name)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	var info StreamInfo
-	if !e.coversLocked(budget) {
-		info.Generated = true
-		e.generateLocked(prog, budget, func(ev trace.Event) {
-			info.Events++
-			info.Insts += int64(ev.Len)
-			fn(ev)
-		})
-		return info, nil
-	}
-	k, tail, hasTail := e.cutLocked(prog, budget)
-	for i := 0; i < k; i++ {
-		fn(e.events[i])
-	}
-	info.Events = int64(k)
-	if k > 0 {
-		info.Insts = e.cum[k-1]
-	}
-	if hasTail {
-		fn(tail)
-		info.Events++
-		info.Insts += int64(tail.Len)
-	}
-	return info, nil
 }

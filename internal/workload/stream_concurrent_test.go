@@ -9,7 +9,7 @@ import (
 // several benchmarks, each requested by several callers — the access pattern
 // of the parallel sweep engine. Run under -race (CI does): it must be free
 // of data races, every caller must observe the same memoized program and
-// event slice, and different benchmarks must not corrupt each other.
+// event stream, and different benchmarks must not corrupt each other.
 func TestCachedConcurrent(t *testing.T) {
 	names := []string{"bzip", "art", "gap", "equake"}
 	const callers = 8
@@ -39,9 +39,9 @@ func TestCachedConcurrent(t *testing.T) {
 					t.Errorf("%s: CachedProgram: %v", p.Name, err)
 					return
 				}
-				events, err := CachedEvents(p, budget)
+				events, _, err := cachedEvents(p, budget)
 				if err != nil {
-					t.Errorf("%s: CachedEvents: %v", p.Name, err)
+					t.Errorf("%s: StreamEventSlices: %v", p.Name, err)
 					return
 				}
 				results[ni][c] = got{prog: prog, n: len(events)}

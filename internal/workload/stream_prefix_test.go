@@ -31,6 +31,25 @@ func freshEvents(t *testing.T, p Profile, budget int64) []trace.Event {
 	return events
 }
 
+// cachedEvents materializes the memoized stream StreamEventSlices delivers for
+// p at the given budget, with the call's StreamInfo. It returns its error
+// instead of failing the test so concurrent callers can use it.
+func cachedEvents(p Profile, budget int64) ([]trace.Event, StreamInfo, error) {
+	var out []trace.Event
+	info, err := StreamEventSlices(p, budget, func(s []trace.Event) { out = append(out, s...) })
+	return out, info, err
+}
+
+// mustCachedEvents is cachedEvents failing the test on error.
+func mustCachedEvents(t *testing.T, p Profile, budget int64) ([]trace.Event, StreamInfo) {
+	t.Helper()
+	events, info, err := cachedEvents(p, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return events, info
+}
+
 // gens runs fn and returns how many functional stream generations it caused.
 func gens(fn func()) int64 {
 	before := streamGens.Load()
@@ -44,10 +63,7 @@ func gens(fn func()) int64 {
 func TestCachedEventsServesPrefix(t *testing.T) {
 	p := prefixProfile("prefix-serve")
 	const big = 60_000
-	full, err := CachedEvents(p, big)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full, _ := mustCachedEvents(t, p, big)
 	if len(full) == 0 {
 		t.Fatal("empty stream")
 	}
@@ -59,13 +75,7 @@ func TestCachedEventsServesPrefix(t *testing.T) {
 	}
 	for _, budget := range []int64{boundary, 37_501, 1, big} {
 		var got []trace.Event
-		if n := gens(func() {
-			var err error
-			got, err = CachedEvents(p, budget)
-			if err != nil {
-				t.Fatal(err)
-			}
-		}); n != 0 {
+		if n := gens(func() { got, _ = mustCachedEvents(t, p, budget) }); n != 0 {
 			t.Errorf("budget %d: caused %d regenerations, want 0", budget, n)
 		}
 		want := freshEvents(t, p, budget)
@@ -82,10 +92,7 @@ func TestCachedEventsServesPrefix(t *testing.T) {
 // budget-bound run.
 func TestCachedEventsStraddlePartialTail(t *testing.T) {
 	p := prefixProfile("prefix-straddle")
-	full, err := CachedEvents(p, 50_000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full, _ := mustCachedEvents(t, p, 50_000)
 
 	// Find an event of at least two instructions and cut it one short.
 	cum := int64(0)
@@ -101,10 +108,7 @@ func TestCachedEventsStraddlePartialTail(t *testing.T) {
 		t.Fatal("no multi-instruction event found")
 	}
 
-	got, err := CachedEvents(p, cut)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, _ := mustCachedEvents(t, p, cut)
 	want := freshEvents(t, p, cut)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("cut %d: cached %d events, fresh %d events; tails %+v vs %+v",
@@ -124,11 +128,7 @@ func TestCachedEventsBudgetSequence(t *testing.T) {
 	p := prefixProfile("prefix-thrash")
 	ask := func(budget int64, wantGens int64) {
 		t.Helper()
-		if n := gens(func() {
-			if _, err := CachedEvents(p, budget); err != nil {
-				t.Fatal(err)
-			}
-		}); n != wantGens {
+		if n := gens(func() { mustCachedEvents(t, p, budget) }); n != wantGens {
 			t.Errorf("budget %d: %d generations, want %d", budget, n, wantGens)
 		}
 	}
@@ -141,32 +141,24 @@ func TestCachedEventsBudgetSequence(t *testing.T) {
 	ask(55_000, 0)
 }
 
-// TestStreamEventsMatchesCachedEvents: the streaming entry point delivers the
-// identical event sequence on both its paths (generation tee and cached
-// replay), with accurate StreamInfo accounting.
-func TestStreamEventsMatchesCachedEvents(t *testing.T) {
+// TestStreamEventSlicesMatchesFresh: the memoized entry point delivers the
+// identical event sequence on a cache miss (generate, then deliver) and on a
+// hit (replay), with accurate StreamInfo accounting, and serves a prefix
+// request identically to a fresh run at that budget.
+func TestStreamEventSlicesMatchesFresh(t *testing.T) {
 	p := prefixProfile("prefix-stream")
 	const budget = 30_000
 
-	collect := func(budget int64) ([]trace.Event, StreamInfo) {
-		var got []trace.Event
-		info, err := StreamEvents(p, budget, func(ev trace.Event) { got = append(got, ev) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		return got, info
-	}
-
-	first, firstInfo := collect(budget)
+	first, firstInfo := mustCachedEvents(t, p, budget)
 	if !firstInfo.Generated {
 		t.Error("first call should report a generation")
 	}
-	second, secondInfo := collect(budget)
+	second, secondInfo := mustCachedEvents(t, p, budget)
 	if secondInfo.Generated {
 		t.Error("second call should replay from cache")
 	}
 	if !reflect.DeepEqual(first, second) {
-		t.Fatal("generation tee and cached replay delivered different streams")
+		t.Fatal("cache miss and cache hit delivered different streams")
 	}
 	if !reflect.DeepEqual(first, freshEvents(t, p, budget)) {
 		t.Fatal("streamed events differ from a fresh run")
@@ -185,16 +177,12 @@ func TestStreamEventsMatchesCachedEvents(t *testing.T) {
 		}
 	}
 
-	// A prefix request delivers the same cut CachedEvents serves.
-	streamed, info := collect(11_111)
+	// A prefix request replays the cut a fresh run at that budget produces.
+	streamed, info := mustCachedEvents(t, p, 11_111)
 	if info.Generated {
 		t.Error("prefix request regenerated")
 	}
-	sliced, err := CachedEvents(p, 11_111)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(streamed, sliced) {
-		t.Fatal("StreamEvents prefix differs from CachedEvents prefix")
+	if !reflect.DeepEqual(streamed, freshEvents(t, p, 11_111)) {
+		t.Fatal("prefix delivery differs from a fresh run")
 	}
 }

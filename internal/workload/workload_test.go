@@ -187,10 +187,11 @@ func TestFPProfilesUseFPInstructions(t *testing.T) {
 
 func TestEventsConsistentWithProgram(t *testing.T) {
 	prof, _ := ByName("art")
-	events, executed, err := Events(prof, 100_000)
+	prog, err := Build(prof)
 	if err != nil {
 		t.Fatal(err)
 	}
+	events, executed := EventsOf(prog, 100_000)
 	if executed != 100_000 {
 		t.Fatalf("executed = %d", executed)
 	}
@@ -208,22 +209,13 @@ func TestEventsConsistentWithProgram(t *testing.T) {
 
 func TestCachedEventsMemoization(t *testing.T) {
 	prof, _ := ByName("wupwise")
-	a, err := CachedEvents(prof, 50_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := CachedEvents(prof, 50_000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, _ := mustCachedEvents(t, prof, 50_000)
+	b, _ := mustCachedEvents(t, prof, 50_000)
 	if len(a) == 0 || len(a) != len(b) {
 		t.Fatalf("cached streams differ: %d vs %d", len(a), len(b))
 	}
-	// Different budget regenerates.
-	c, err := CachedEvents(prof, 25_000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A smaller budget is served as a shorter prefix.
+	c, _ := mustCachedEvents(t, prof, 25_000)
 	if len(c) >= len(a) {
 		t.Fatalf("smaller budget produced %d >= %d events", len(c), len(a))
 	}

@@ -91,13 +91,13 @@ func BuildBenchmark(b Benchmark) (*Program, error) { return workload.Build(b) }
 // Characterize runs trace characterization (Figures 1-4, Table 1 metrics)
 // for a benchmark at the given instruction budget.
 func Characterize(b Benchmark, budget int64) (*trace.Characterizer, error) {
-	return report.Characterization(b, budget)
+	return (&report.Engine{}).Characterization(b, budget)
 }
 
 // Coverage measures ITR coverage loss for one benchmark and cache
 // configuration: the unit of Figures 6 and 7.
 func Coverage(b Benchmark, cfg CacheConfig, budget int64) (CoverageResult, error) {
-	cells, err := report.CoverageSweep([]workload.Profile{b}, []core.Config{cfg}, budget)
+	cells, err := (&report.Engine{}).CoverageSweep([]workload.Profile{b}, []core.Config{cfg}, budget)
 	if err != nil {
 		return CoverageResult{}, err
 	}

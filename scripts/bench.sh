@@ -24,7 +24,10 @@ MAX="${BENCH_MAX_REGRESSION_PCT:-5}"
 GATE_ALLOCS="${BENCH_GATE_ALLOCS:-1}"
 
 mkdir -p benchmarks
-go test -run '^$' -bench "$PATTERN" -benchtime "$TIME" -count "$COUNT" . | tee benchmarks/latest.txt
+# The per-cell sweep benchmarks (BenchmarkCoverageSweepSerial/Parallel) sit
+# next to the oracle they measure in internal/report; the rest are in the
+# root package.
+go test -run '^$' -bench "$PATTERN" -benchtime "$TIME" -count "$COUNT" . ./internal/report | tee benchmarks/latest.txt
 
 # Machine-readable summary alongside the raw samples: min-of-N ns/op (and
 # B/op + allocs/op where reported) per benchmark, for dashboards and the CI
