@@ -224,6 +224,7 @@ func figure8CampaignBench(b *testing.B, interval int64) {
 		}
 		b.ReportMetric(res.DetectedPct(), "itr-detected-%")
 		b.ReportMetric(float64(res.Budget.CyclesSimulated)/float64(cfg.Faults), "cycles/injection")
+		b.ReportMetric(float64(res.Budget.VerifyCyclesSimulated)/float64(cfg.Faults), "verify-cycles/injection")
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"itr/internal/detect"
 	"itr/internal/fault"
+	"itr/internal/isa"
 	"itr/internal/obs"
 	"itr/internal/report"
 	"itr/internal/stats"
@@ -152,24 +153,20 @@ func runFault(e *Engine) error {
 		fmt.Fprintf(e.rawOut(), " in %v", time.Since(start).Round(time.Millisecond))
 		fmt.Fprintln(w, ")")
 		snaps, pages, owned := 0, 0, 0
+		var state, golden int64
+		var bud fault.Budget
 		for _, r := range rows {
 			snaps += r.Result.Snapshots
 			pages += r.Result.SnapshotPages
 			owned += r.Result.SnapshotOwnedPages
+			state += r.Result.SnapshotStateBytes
+			golden += r.Result.GoldenLogBytes
+			bud.Merge(r.Result.Budget)
+			e.addCampaign(r.Result)
 		}
 		if snaps > 0 {
-			fmt.Fprintf(w, "(snapshot fast-forward: %d pilot snapshots retained, %d page refs sharing %d distinct pages ≈ %.1f MiB resident, copy-on-write)\n",
-				snaps, pages, owned, float64(owned)*4096/(1<<20))
-		}
-		var bud fault.Budget
-		for _, r := range rows {
-			b := r.Result.Budget
-			bud.CyclesSimulated += b.CyclesSimulated
-			bud.CyclesSaved += b.CyclesSaved
-			bud.DecidedEarly += b.DecidedEarly
-			bud.VerifyForked += b.VerifyForked
-			bud.ProofFallbacks += b.ProofFallbacks
-			e.addBudget(r.Result.Budget)
+			fmt.Fprintf(w, "(snapshot fast-forward: %d pilot snapshots retained, %d page refs sharing %d distinct pages ≈ %.1f MiB copy-on-write + %.1f MiB machine state; golden log %.1f MiB)\n",
+				snaps, pages, owned, float64(owned)*isa.PageBytes/(1<<20), float64(state)/(1<<20), float64(golden)/(1<<20))
 		}
 		if bud.DecidedEarly > 0 {
 			total := bud.CyclesSimulated + bud.CyclesSaved

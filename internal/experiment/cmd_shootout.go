@@ -130,7 +130,7 @@ func runShootout(e *Engine) error {
 			}
 			runs[i] = DetectorRun{Name: name, DetectedPct: avgDet}
 			for _, r := range rows {
-				e.addBudget(r.Result.Budget)
+				e.addCampaign(r.Result)
 			}
 			// Keep the wall-clock decoration out of the stage digest so
 			// reruns of the same spec hash identically.
@@ -264,7 +264,7 @@ func runChunkSweep(e *Engine, w io.Writer, backends []string, campaignCfg func(s
 					detections++
 				}
 			}
-			e.addBudget(r.Result.Budget)
+			e.addCampaign(r.Result)
 		}
 		if len(rows) > 0 {
 			avgDet /= float64(len(rows))

@@ -48,28 +48,20 @@ type Engine struct {
 	bench    map[string]*BenchTiming
 	budget   fault.Budget
 	manifest Manifest
+	// Summed over campaigns: the pilot snapshot series' machine state and
+	// the golden logs, in bytes.
+	snapshotStateBytes, goldenLogBytes int64
 }
 
-// addBudget folds one campaign's decided-outcome accounting into the run
-// totals surfaced by the manifest telemetry. Safe to call concurrently with
-// the -progress ticker's telemetrySnapshot.
-func (e *Engine) addBudget(b fault.Budget) {
+// addCampaign folds one campaign's decided-outcome accounting and resident
+// footprint into the run totals surfaced by the manifest telemetry. Safe to
+// call concurrently with the -progress ticker's telemetrySnapshot.
+func (e *Engine) addCampaign(r fault.CampaignResult) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.budget.CyclesSimulated += b.CyclesSimulated
-	e.budget.CyclesSaved += b.CyclesSaved
-	e.budget.DecidedEarly += b.DecidedEarly
-	e.budget.VerifyForked += b.VerifyForked
-	e.budget.ProofFallbacks += b.ProofFallbacks
-	for cat, cb := range b.ByClass {
-		if e.budget.ByClass == nil {
-			e.budget.ByClass = make(map[fault.Category]fault.ClassBudget)
-		}
-		acc := e.budget.ByClass[cat]
-		acc.Simulated += cb.Simulated
-		acc.Saved += cb.Saved
-		e.budget.ByClass[cat] = acc
-	}
+	e.budget.Merge(r.Budget)
+	e.snapshotStateBytes += r.SnapshotStateBytes
+	e.goldenLogBytes += r.GoldenLogBytes
 }
 
 // New builds an engine for spec writing to out (tables) and errw
@@ -160,6 +152,7 @@ func (e *Engine) registerMetrics() {
 	e.reg.RegisterCounter("itr_sweep_cells_total", &e.sweep.CellsCompleted)
 	e.reg.RegisterCounter("itr_injections_total", &e.camp.Injections)
 	e.reg.RegisterCounter("itr_injection_cycles_simulated_total", &e.camp.CyclesSimulated)
+	e.reg.RegisterCounter("itr_verify_cycles_simulated_total", &e.camp.VerifyCyclesSimulated)
 	e.reg.RegisterCounter("itr_injection_cycles_saved_total", &e.camp.CyclesSaved)
 	e.reg.RegisterGaugeFunc("itr_uptime_seconds", func() int64 {
 		return int64(time.Since(e.started).Seconds())
@@ -340,11 +333,14 @@ func (e *Engine) telemetrySnapshot() Telemetry {
 	t.DetectorPolls = e.probe.DetectorPolls.Load()
 	t.DetectorDetections = e.probe.DetectorDetections.Load()
 	t.InjectionCyclesSimulated = e.camp.CyclesSimulated.Load()
+	t.VerifyCyclesSimulated = e.camp.VerifyCyclesSimulated.Load()
 	t.InjectionCyclesSaved = e.camp.CyclesSaved.Load()
 	e.mu.Lock()
 	t.InjectionsDecidedEarly = e.budget.DecidedEarly
 	t.VerifyRunsForked = e.budget.VerifyForked
 	t.ProofFallbacks = e.budget.ProofFallbacks
+	t.SnapshotStateBytes = e.snapshotStateBytes
+	t.GoldenLogBytes = e.goldenLogBytes
 	if len(e.budget.ByClass) > 0 {
 		t.CyclesSavedByClass = make(map[string]int64, len(e.budget.ByClass))
 		for cat, cb := range e.budget.ByClass {

@@ -124,13 +124,15 @@ type Telemetry struct {
 	DetectorDetections int64 `json:"detectorDetections,omitempty"`
 	// The decided-outcome engine's accounting (fault/shootout runs):
 	// InjectionCyclesSimulated is the pipeline cycles injection runs
-	// actually simulated; InjectionCyclesSaved is the window cycles skipped
-	// by early-settled classifications and verify-run forks;
+	// actually simulated, VerifyCyclesSimulated the share of it spent in
+	// full-protocol verify runs; InjectionCyclesSaved is the window cycles
+	// skipped by early-settled classifications and verify-run forks;
 	// InjectionsDecidedEarly counts observe runs that exited before their
 	// window; VerifyRunsForked counts verify runs resumed from a pre-fault
 	// fork of the observe machine; ProofFallbacks counts convergence proofs
 	// that failed (those runs simulated their full window).
 	InjectionCyclesSimulated int64 `json:"injectionCyclesSimulated,omitempty"`
+	VerifyCyclesSimulated    int64 `json:"verifyCyclesSimulated,omitempty"`
 	InjectionCyclesSaved     int64 `json:"injectionCyclesSaved,omitempty"`
 	InjectionsDecidedEarly   int64 `json:"injectionsDecidedEarly,omitempty"`
 	VerifyRunsForked         int64 `json:"verifyRunsForked,omitempty"`
@@ -138,6 +140,12 @@ type Telemetry struct {
 	// CyclesSavedByClass breaks InjectionCyclesSaved down by Figure 8
 	// outcome category.
 	CyclesSavedByClass map[string]int64 `json:"cyclesSavedByClass,omitempty"`
+	// SnapshotStateBytes sums, over campaigns, the machine state the
+	// retained pilot snapshots hold beside their copy-on-write memory pages
+	// (cache lines, predictor tables, ROB columns); GoldenLogBytes sums the
+	// resident size of the fault-free commit logs.
+	SnapshotStateBytes int64 `json:"snapshotStateBytes,omitempty"`
+	GoldenLogBytes     int64 `json:"goldenLogBytes,omitempty"`
 }
 
 // Version returns a git-describe-style identifier for the running build:

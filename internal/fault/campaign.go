@@ -41,10 +41,11 @@ type CampaignConfig struct {
 type Progress struct {
 	// Injections counts completed injection experiments.
 	Injections obs.Counter
-	// CyclesSimulated and CyclesSaved mirror the campaign Budget live
-	// (CyclesSaved is zero under Config.Exact).
-	CyclesSimulated obs.Counter
-	CyclesSaved     obs.Counter
+	// CyclesSimulated, VerifyCyclesSimulated and CyclesSaved mirror the
+	// campaign Budget live (CyclesSaved is zero under Config.Exact).
+	CyclesSimulated       obs.Counter
+	VerifyCyclesSimulated obs.Counter
+	CyclesSaved           obs.Counter
 }
 
 // DefaultCampaignConfig returns a scaled-down campaign (raise Faults to 1000
@@ -74,11 +75,16 @@ type CampaignResult struct {
 	// Snapshots is the number of pilot snapshots some injection resumes
 	// from; SnapshotPages the page references they hold, counting a page
 	// shared copy-on-write once per snapshot; SnapshotOwnedPages the
-	// distinct pages, the series' resident footprint. All are zero on the
-	// cold path.
+	// distinct pages, the series' resident footprint; SnapshotStateBytes the
+	// machine state the series holds beside those pages (cache lines,
+	// predictor tables, ROB columns). All are zero on the cold path.
 	Snapshots          int
 	SnapshotPages      int
 	SnapshotOwnedPages int
+	SnapshotStateBytes int64
+	// GoldenLogBytes is the resident size of the fault-free commit log the
+	// injections compared against.
+	GoldenLogBytes int64
 	// Budget accounts the decided-outcome engine's work: cycles simulated
 	// versus window cycles skipped, per outcome class.
 	Budget  Budget
@@ -144,6 +150,7 @@ func RunCampaign(name string, prog *program.Program, cfg CampaignConfig) (Campai
 		s.VisitMemPages(func(id uint64) { distinct[id] = struct{}{} })
 	}
 	res.SnapshotOwnedPages = len(distinct)
+	res.SnapshotStateBytes = snapshotStateBytes(src.snaps)
 
 	details := make([]Detail, cfg.Faults)
 	budgets := make([]runBudget, cfg.Faults)
@@ -166,6 +173,7 @@ func RunCampaign(name string, prog *program.Program, cfg CampaignConfig) (Campai
 		if cfg.Progress != nil {
 			cfg.Progress.Injections.AddAt(a.shard, 1)
 			cfg.Progress.CyclesSimulated.AddAt(a.shard, budgets[i].simulated)
+			cfg.Progress.VerifyCyclesSimulated.AddAt(a.shard, budgets[i].verify)
 			cfg.Progress.CyclesSaved.AddAt(a.shard, budgets[i].saved)
 		}
 		return err
@@ -173,6 +181,7 @@ func RunCampaign(name string, prog *program.Program, cfg CampaignConfig) (Campai
 	if err != nil {
 		return res, err
 	}
+	res.GoldenLogBytes = e.stream.residentBytes()
 
 	for i, d := range details {
 		res.Total++

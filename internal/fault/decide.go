@@ -37,10 +37,15 @@ import (
 // argument covers only a single corrupted decode event, so PC, rename and
 // cache legs always run their window to completion.
 const (
-	// decideProbeCycles is the simulation chunk between decision probes:
-	// a settled run stops within ~1% of the paper's window, and probe
-	// overhead vanishes against simulation cost.
-	decideProbeCycles = 512
+	// observeProbeCycles is the simulation chunk between an observe leg's
+	// decision probes. A detected observe leg samples FaultyResident where
+	// it stops, so this grid is part of its Detail and stays fixed.
+	observeProbeCycles = 512
+
+	// verifyProbeCycles is a verify leg's probe chunk. Every fact a verify
+	// leg records is settled when its probe passes, so the fine grain only
+	// trims the cycles simulated past settlement.
+	verifyProbeCycles = 32
 
 	// preFaultMargin is how many decode events before the injection the
 	// observe run pauses to capture the verify run's fork point. It must
@@ -59,6 +64,7 @@ const (
 // accounting never perturbs classification payloads.
 type runBudget struct {
 	simulated     int64 // cycles actually simulated (observe + verify)
+	verify        int64 // the verify leg's share of simulated
 	saved         int64 // window cycles skipped by deciding early or forking
 	decidedEarly  bool  // observe run exited before its window
 	verifyForked  bool  // verify run resumed from the observe pre-fault fork
@@ -67,7 +73,11 @@ type runBudget struct {
 
 // leg accounts one leg's simulated cycles and early-exit savings.
 func (b *runBudget) leg(r *legRun, window int64) {
-	b.simulated += r.cpu.CycleCount() - r.from.Cycle
+	n := r.cpu.CycleCount() - r.from.Cycle
+	b.simulated += n
+	if r.full {
+		b.verify += n
+	}
 	if r.early {
 		b.saved += window - r.cpu.CycleCount()
 	}
@@ -87,16 +97,20 @@ type ClassBudget struct {
 // settle fast; masked faults pay for their convergence proof).
 type Budget struct {
 	CyclesSimulated int64
-	CyclesSaved     int64
-	DecidedEarly    int64 // injections whose observe run exited early
-	VerifyForked    int64 // verify runs resumed from a pre-fault fork
-	ProofFallbacks  int64 // convergence proofs that failed (ran to completion)
-	ByClass         map[Category]ClassBudget
+	// VerifyCyclesSimulated is the share of CyclesSimulated spent in
+	// full-protocol verify legs.
+	VerifyCyclesSimulated int64
+	CyclesSaved           int64
+	DecidedEarly          int64 // injections whose observe run exited early
+	VerifyForked          int64 // verify runs resumed from a pre-fault fork
+	ProofFallbacks        int64 // convergence proofs that failed (ran to completion)
+	ByClass               map[Category]ClassBudget
 }
 
 // add folds one injection's record into the campaign totals.
 func (b *Budget) add(r runBudget, cat Category) {
 	b.CyclesSimulated += r.simulated
+	b.VerifyCyclesSimulated += r.verify
 	b.CyclesSaved += r.saved
 	if r.decidedEarly {
 		b.DecidedEarly++
@@ -111,6 +125,25 @@ func (b *Budget) add(r runBudget, cat Category) {
 	cb.Simulated += r.simulated
 	cb.Saved += r.saved
 	b.ByClass[cat] = cb
+}
+
+// Merge folds another campaign's totals into b.
+func (b *Budget) Merge(o Budget) {
+	b.CyclesSimulated += o.CyclesSimulated
+	b.VerifyCyclesSimulated += o.VerifyCyclesSimulated
+	b.CyclesSaved += o.CyclesSaved
+	b.DecidedEarly += o.DecidedEarly
+	b.VerifyForked += o.VerifyForked
+	b.ProofFallbacks += o.ProofFallbacks
+	for cat, cb := range o.ByClass {
+		if b.ByClass == nil {
+			b.ByClass = make(map[Category]ClassBudget)
+		}
+		acc := b.ByClass[cat]
+		acc.Simulated += cb.Simulated
+		acc.Saved += cb.Saved
+		b.ByClass[cat] = acc
+	}
 }
 
 // decide simulates the leg in probe-sized chunks until its classification
@@ -128,8 +161,12 @@ func (d decodeBit) decide(e *engine, r *legRun) {
 	taintHorizon := d.DecodeIndex + isa.MaxTraceLen
 	cleanCommit := int64(-1)
 	sweepHold := 0
+	probe := int64(observeProbeCycles)
+	if r.full {
+		probe = verifyProbeCycles
+	}
 	for {
-		r.res = cpu.Run(max(min(window-cpu.CycleCount(), decideProbeCycles), 0))
+		r.res = cpu.Run(max(min(window-cpu.CycleCount(), probe), 0))
 		if r.res.Termination != pipeline.TermBudget || cpu.CycleCount() >= window {
 			return
 		}
@@ -212,8 +249,11 @@ func convergedWithGolden(cpu *pipeline.CPU, stream *GoldenStream, snap *pipeline
 	}
 	st, mem := snap.ArchFork()
 	log := stream.ensure(int(committed) - 1)
-	for i := snap.Committed; i < committed; i++ {
-		st.ApplyRef(&log.at(int(i)).out)
+	var o isa.Outcome
+	for i := int(snap.Committed); i < int(committed); i++ {
+		cols, j := log.col(i)
+		cols.outcome(j, &o)
+		st.ApplyRef(&o)
 	}
 	machine := cpu.Committed()
 	if st.R != machine.R || st.F != machine.F || st.PC != machine.PC {

@@ -1,9 +1,14 @@
 package fault
 
 import (
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
+	"unsafe"
 
+	"itr/internal/cache"
 	"itr/internal/core"
 	"itr/internal/isa"
 	"itr/internal/pipeline"
@@ -109,10 +114,75 @@ func TestDecidedBudgetAccounting(t *testing.T) {
 		t.Errorf("class breakdown (%d, %d) disagrees with totals (%d, %d)",
 			sim, saved, b.CyclesSimulated, b.CyclesSaved)
 	}
-	if prog.CyclesSimulated.Load() != b.CyclesSimulated || prog.CyclesSaved.Load() != b.CyclesSaved {
-		t.Errorf("progress counters (%d, %d) disagree with budget (%d, %d)",
-			prog.CyclesSimulated.Load(), prog.CyclesSaved.Load(),
-			b.CyclesSimulated, b.CyclesSaved)
+	if prog.CyclesSimulated.Load() != b.CyclesSimulated || prog.CyclesSaved.Load() != b.CyclesSaved ||
+		prog.VerifyCyclesSimulated.Load() != b.VerifyCyclesSimulated {
+		t.Errorf("progress counters (%d, %d, %d) disagree with budget (%d, %d, %d)",
+			prog.CyclesSimulated.Load(), prog.CyclesSaved.Load(), prog.VerifyCyclesSimulated.Load(),
+			b.CyclesSimulated, b.CyclesSaved, b.VerifyCyclesSimulated)
+	}
+
+	if b.VerifyCyclesSimulated <= 0 || b.VerifyCyclesSimulated >= b.CyclesSimulated {
+		t.Errorf("verify share %d of %d simulated cycles", b.VerifyCyclesSimulated, b.CyclesSimulated)
+	}
+
+	// On the exact path observe legs do not depend on verification, so the
+	// verify share is exactly what the campaign without verify legs does
+	// not simulate.
+	cfg.Progress = nil
+	cfg.Experiment.Exact = true
+	exact, err := RunCampaign("budget", p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Experiment.Verify = false
+	observeOnly, err := RunCampaign("budget", p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, o := exact.Budget, observeOnly.Budget
+	if e.VerifyCyclesSimulated <= 0 || o.VerifyCyclesSimulated != 0 ||
+		e.CyclesSimulated-e.VerifyCyclesSimulated != o.CyclesSimulated {
+		t.Errorf("exact path: verify share %d of %d simulated cycles; without verify legs %d of %d",
+			e.VerifyCyclesSimulated, e.CyclesSimulated, o.VerifyCyclesSimulated, o.CyclesSimulated)
+	}
+
+	var merged Budget
+	merged.Merge(b)
+	merged.Merge(e)
+	if merged.CyclesSimulated != b.CyclesSimulated+e.CyclesSimulated ||
+		merged.VerifyCyclesSimulated != b.VerifyCyclesSimulated+e.VerifyCyclesSimulated ||
+		merged.CyclesSaved != b.CyclesSaved || merged.DecidedEarly != b.DecidedEarly ||
+		merged.ByClass[ITRMask].Simulated != b.ByClass[ITRMask].Simulated+e.ByClass[ITRMask].Simulated {
+		t.Errorf("Merge: %+v from %+v and %+v", merged, b, e)
+	}
+
+	if res.SnapshotStateBytes <= 0 || res.GoldenLogBytes < goldenChunkBytes {
+		t.Errorf("footprint: %d B snapshot state, %d B golden log", res.SnapshotStateBytes, res.GoldenLogBytes)
+	}
+}
+
+// TestSnapshotStateBytes checks the snapshot footprint measure: a snapshot
+// holds at least its ITR cache lines, a snapshot listed twice counts once,
+// and two captures of one machine each hold their own copies.
+func TestSnapshotStateBytes(t *testing.T) {
+	cfg := quickConfig()
+	cpu, err := pipeline.New(testProgram(t), cfg.pipelineConfig(core.ModeObserve))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpu.Run(2000)
+	s1 := cpu.Snapshot()
+	cpu.Run(2000)
+	s2 := cpu.Snapshot()
+	one := snapshotStateBytes([]*pipeline.Snapshot{s1})
+	if lines := int64(cfg.ITR.Entries) * int64(unsafe.Sizeof(cache.Line{})); one < lines {
+		t.Fatalf("snapshot holds %d B, less than its %d B of ITR cache lines", one, lines)
+	}
+	if twice := snapshotStateBytes([]*pipeline.Snapshot{s1, s1}); twice != one {
+		t.Errorf("one snapshot listed twice: %d B, alone %d B", twice, one)
+	}
+	if two := snapshotStateBytes([]*pipeline.Snapshot{s1, s2}); two <= one || two > 2*one+one/10 {
+		t.Errorf("two snapshots: %d B, one alone %d B", two, one)
 	}
 }
 
@@ -211,5 +281,34 @@ func TestMemoryEqual(t *testing.T) {
 	d.Store(0x20_000, 8, 2)
 	if a.Equal(d) || d.Equal(a) {
 		t.Fatal("nonzero one-sided page reported equal")
+	}
+}
+
+// TestObserveStopGridPinned pins a digest of every Detail of one small
+// verified ITR campaign, FaultyResident and Halted included. A detected
+// observe leg samples FaultyResident where it stops, so the digest pins the
+// observe legs' 512-cycle probe grid: on parser with a 64-entry ITR cache,
+// faulty signatures are evicted often enough that stopping observe legs on a
+// finer grain changes several injections' FaultyResident. Verify legs stop
+// on their own grain without changing any recorded fact. The digest was
+// recorded when every leg still probed every 512 cycles.
+func TestObserveStopGridPinned(t *testing.T) {
+	const want = "618761731a490f3293c5e412966cc8e192737c39029ec634153146578dbba0fe"
+	cfg := DefaultCampaignConfig()
+	cfg.Faults = 60
+	cfg.Seed = 3
+	cfg.Workers = 2
+	cfg.Experiment = quickConfig()
+	cfg.Experiment.ITR.Entries = 64
+	res, err := RunCampaign("parser", studyProgram(t, "parser"), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := json.Marshal(res.Details)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(blob)); got != want {
+		t.Fatalf("Details digest %s, want %s", got, want)
 	}
 }

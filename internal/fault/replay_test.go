@@ -3,6 +3,7 @@ package fault
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"itr/internal/core"
 	"itr/internal/isa"
@@ -97,10 +98,16 @@ func TestGoldenStreamMatchesLiveGolden(t *testing.T) {
 	g := newGolden(p)
 	cur := s.cursor(0)
 	view := s.ensure(499)
+	entry := func(i int) (uint64, isa.Outcome) {
+		var o isa.Outcome
+		cols, j := view.col(i)
+		cols.outcome(j, &o)
+		return view.pc(i), o
+	}
 	for i := 0; i < 500; i++ {
-		e := view.at(i)
-		g.observe(e.pc, &e.out)
-		cur.observe(e.pc, &e.out)
+		pc, o := entry(i)
+		g.observe(pc, &o)
+		cur.observe(pc, &o)
 	}
 	if g.diverged || cur.diverged {
 		t.Fatalf("fault-free replay diverged: live=%v cursor=%v", g.diverged, cur.diverged)
@@ -109,18 +116,18 @@ func TestGoldenStreamMatchesLiveGolden(t *testing.T) {
 	// A wrong PC diverges both, stickily.
 	g2 := newGolden(p)
 	cur2 := s.cursor(0)
-	e := view.at(0)
-	g2.observe(e.pc+1, &e.out)
-	cur2.observe(e.pc+1, &e.out)
+	pc0, o0 := entry(0)
+	g2.observe(pc0+1, &o0)
+	cur2.observe(pc0+1, &o0)
 	if !g2.diverged || !cur2.diverged {
 		t.Fatalf("PC mismatch not flagged: live=%v cursor=%v", g2.diverged, cur2.diverged)
 	}
 
 	// A corrupted outcome diverges the cursor mid-stream.
 	cur3 := s.cursor(100)
-	bad := view.at(100).out
+	pc100, bad := entry(100)
 	bad.NextPC ^= 1
-	cur3.observe(view.at(100).pc, &bad)
+	cur3.observe(pc100, &bad)
 	if !cur3.diverged {
 		t.Fatal("outcome mismatch not flagged by seeked cursor")
 	}
@@ -171,6 +178,99 @@ func TestGoldenStreamMatchesLiveGolden(t *testing.T) {
 	if disagreements > 0 || live.diverged || cur4.diverged {
 		t.Fatalf("cursor and live model disagreed on %d of %d commits (final live=%v cursor=%v)",
 			disagreements, commits, live.diverged, cur4.diverged)
+	}
+}
+
+// TestGoldenLogPackedMatchesExec is the packed log's differential test: on
+// gcc and swim, every one of 200k entries unpacks to an outcome with the same
+// architectural effect as isa.ExecInto at the same PC, the PC chain is the
+// reference's, the cursor's column compare agrees with SameArchEffect on
+// perturbed outcomes, and replaying the unpacked entries from a mid-log
+// pipeline snapshot reproduces the machine's registers, PC and memory.
+func TestGoldenLogPackedMatchesExec(t *testing.T) {
+	if per := unsafe.Sizeof(goldenCols{}) / goldenChunk; per > 26 {
+		t.Fatalf("golden log takes %d B per entry, want at most 26", per)
+	}
+	const n = 200_000
+	perturb := []func(o *isa.Outcome){
+		func(o *isa.Outcome) { o.NextPC ^= 1 },
+		func(o *isa.Outcome) { o.Halt = !o.Halt },
+		func(o *isa.Outcome) { o.RegWrite = !o.RegWrite },
+		func(o *isa.Outcome) { o.RegFP = !o.RegFP },
+		func(o *isa.Outcome) { o.Reg ^= 1 },
+		func(o *isa.Outcome) { o.Reg += 32 },
+		func(o *isa.Outcome) { o.Value ^= 1 << 63 },
+		func(o *isa.Outcome) { o.MemWrite = !o.MemWrite },
+		func(o *isa.Outcome) { o.MemAddr ^= 8 },
+		func(o *isa.Outcome) { o.MemWData ^= 1 },
+		func(o *isa.Outcome) { o.MemWSize ^= 1 },
+		func(o *isa.Outcome) { o.MemWSize += 16 },
+		func(o *isa.Outcome) { o.Taken, o.Branch, o.Illegal = !o.Taken, !o.Branch, !o.Illegal },
+	}
+	for _, name := range []string{"gcc", "swim"} {
+		p := studyProgram(t, name)
+		s := NewGoldenStream(p)
+		view := s.ensure(n - 1)
+		tab := p.DecodeTable()
+		ref := isa.ArchState{Mem: isa.NewMemory(), PC: p.Entry}
+		var want, got isa.Outcome
+		var regs, fps, stores int
+		for i := 0; i < n; i++ {
+			if pc := view.pc(i); pc != ref.PC {
+				t.Fatalf("%s entry %d: PC %d, reference at %d", name, i, pc, ref.PC)
+			}
+			ref.ExecInto(&want, tab.Signals(ref.PC), ref.PC)
+			cols, j := view.col(i)
+			cols.outcome(j, &got)
+			if !got.SameArchEffect(&want) || !want.SameArchEffect(&got) || !cols.same(j, &want) {
+				t.Fatalf("%s entry %d: unpacked %v, reference %v", name, i, got, want)
+			}
+			for k, f := range perturb {
+				o := want
+				f(&o)
+				if cols.same(j, &o) != o.SameArchEffect(&got) {
+					t.Fatalf("%s entry %d perturbation %d: column compare %v, SameArchEffect %v",
+						name, i, k, cols.same(j, &o), o.SameArchEffect(&got))
+				}
+			}
+			if want.RegWrite {
+				regs++
+				if want.RegFP {
+					fps++
+				}
+			}
+			if want.MemWrite {
+				stores++
+			}
+			ref.ApplyRef(&want)
+		}
+		if regs == 0 || stores == 0 || (name == "swim" && fps == 0) {
+			t.Fatalf("%s: log exercises %d register writes (%d fp) and %d stores", name, regs, fps, stores)
+		}
+
+		cpu, err := pipeline.New(p, quickConfig().pipelineConfig(core.ModeObserve))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for cpu.CommittedInsts() < n/2 {
+			cpu.Run(1000)
+		}
+		snap := cpu.Snapshot()
+		for cpu.CommittedInsts() < n*3/4 {
+			cpu.Run(1000)
+		}
+		st, mem := snap.ArchFork()
+		for i := int(snap.Committed); i < int(cpu.CommittedInsts()); i++ {
+			cols, j := view.col(i)
+			cols.outcome(j, &got)
+			st.ApplyRef(&got)
+		}
+		machine := cpu.Committed()
+		mmem, ok := machine.Mem.(*isa.Memory)
+		if st.R != machine.R || st.F != machine.F || st.PC != machine.PC || !ok || !mem.Equal(mmem) {
+			t.Fatalf("%s: replaying entries %d..%d from the snapshot does not reproduce the machine",
+				name, snap.Committed, cpu.CommittedInsts())
+		}
 	}
 }
 

@@ -49,6 +49,8 @@ awk '
         # Custom campaign metric: simulated pipeline cycles per injection
         # (decided-outcome engine accounting; lower = more windows skipped).
         c = metric("cycles/injection"); if (c >= 0 && (!(n in cpi) || c < cpi[n])) cpi[n] = c
+        # Its verify-leg share (full-protocol confirmation runs).
+        c = metric("verify-cycles/injection"); if (c >= 0 && (!(n in vpi) || c < vpi[n])) vpi[n] = c
     }
     END {
         printf "{\n"
@@ -58,6 +60,7 @@ awk '
             if (n in bop) printf ", \"bytes_per_op\": %d", bop[n]
             if (n in aop) printf ", \"allocs_per_op\": %d", aop[n]
             if (n in cpi) printf ", \"cycles_per_injection\": %g", cpi[n]
+            if (n in vpi) printf ", \"verify_cycles_per_injection\": %g", vpi[n]
             printf "}%s\n", i < nn ? "," : ""
         }
         printf "}\n"
