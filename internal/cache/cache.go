@@ -36,10 +36,21 @@ const (
 )
 
 // Line is one cache line. Value semantics are owned by the caller (the ITR
-// layer stores trace signatures).
+// layer stores trace signatures). The flags come last so the line packs into
+// 48 bytes.
 type Line struct {
 	Key   uint64
 	Value uint64
+	// Aux carries caller-defined per-line metadata (the ITR layer stores
+	// the instruction count of the trace that installed the signature).
+	Aux uint64
+	// Stamp is a caller-defined installation timestamp (the ITR layer
+	// stores the committed-instruction count at install, which the
+	// checkpointing extension compares against checkpoint ages).
+	Stamp int64
+
+	lru uint64
+
 	Valid bool
 	// Referenced records whether the line has hit at least once since it
 	// was inserted. Evicting a line with Referenced == false is exactly the
@@ -49,17 +60,8 @@ type Line struct {
 	// Checked records whether the line's signature has been confirmed
 	// against a newly executed instance (used by ReplCheckedLRU).
 	Checked bool
-	// Aux carries caller-defined per-line metadata (the ITR layer stores
-	// the instruction count of the trace that installed the signature).
-	Aux uint64
-	// Stamp is a caller-defined installation timestamp (the ITR layer
-	// stores the committed-instruction count at install, which the
-	// checkpointing extension compares against checkpoint ages).
-	Stamp int64
 	// Parity is the caller-maintained parity bit over Value (Section 2.4).
 	Parity bool
-
-	lru uint64
 }
 
 // Stats counts cache events since construction or the last ResetStats.

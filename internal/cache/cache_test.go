@@ -3,6 +3,7 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -332,5 +333,13 @@ func TestPropertyOccupancyBounded(t *testing.T) {
 		return true
 	}, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLinePacked pins the line layout: every ITR cache and every snapshot of
+// one holds these by the thousand.
+func TestLinePacked(t *testing.T) {
+	if got := unsafe.Sizeof(Line{}); got != 48 {
+		t.Fatalf("unsafe.Sizeof(Line{}) = %d, want 48", got)
 	}
 }

@@ -112,8 +112,8 @@ func runFault(e *Engine) error {
 		profiles = []workload.Profile{p}
 	}
 
-	// Parallelism lives in the per-injection campaign pool; keep the
-	// benchmark-level report pool serial so the two do not multiply.
+	// Parallelism lives in the per-injection campaign pool; Figure 8 runs
+	// the pools one at a time, so the report pool's width does not apply.
 	rep := e.reportEngine(1)
 
 	// The default backend keeps the historical header byte-for-byte; rivals
@@ -153,7 +153,7 @@ func runFault(e *Engine) error {
 		fmt.Fprintf(e.rawOut(), " in %v", time.Since(start).Round(time.Millisecond))
 		fmt.Fprintln(w, ")")
 		snaps, pages, owned := 0, 0, 0
-		var state, golden int64
+		var state, golden, goldenPeak int64
 		var bud fault.Budget
 		for _, r := range rows {
 			snaps += r.Result.Snapshots
@@ -161,12 +161,14 @@ func runFault(e *Engine) error {
 			owned += r.Result.SnapshotOwnedPages
 			state += r.Result.SnapshotStateBytes
 			golden += r.Result.GoldenLogBytes
+			goldenPeak = max(goldenPeak, r.Result.GoldenPeakBytes)
 			bud.Merge(r.Result.Budget)
 			e.addCampaign(r.Result)
 		}
 		if snaps > 0 {
-			fmt.Fprintf(w, "(snapshot fast-forward: %d pilot snapshots retained, %d page refs sharing %d distinct pages ≈ %.1f MiB copy-on-write + %.1f MiB machine state; golden log %.1f MiB)\n",
-				snaps, pages, owned, float64(owned)*isa.PageBytes/(1<<20), float64(state)/(1<<20), float64(golden)/(1<<20))
+			fmt.Fprintf(w, "(snapshot fast-forward: %d pilot snapshots retained, %d page refs sharing %d distinct pages ≈ %.1f MiB copy-on-write + %.1f MiB machine state; golden log %.1f MiB built, %.1f MiB peak)\n",
+				snaps, pages, owned, float64(owned)*isa.PageBytes/(1<<20), float64(state)/(1<<20),
+				float64(golden)/(1<<20), float64(goldenPeak)/(1<<20))
 		}
 		if bud.DecidedEarly > 0 {
 			total := bud.CyclesSimulated + bud.CyclesSaved
@@ -201,10 +203,18 @@ func runFault(e *Engine) error {
 
 		if s.Campaign.Fields {
 			fmt.Fprintln(w, "\nInjections by Table 2 field:")
+			var fields []string // Table 2 order: by first bit position
+			for bit := 0; bit < isa.SignalBits; bit++ {
+				if f := isa.SignalField(bit); len(fields) == 0 || fields[len(fields)-1] != f {
+					fields = append(fields, f)
+				}
+			}
 			for _, r := range rows {
 				fmt.Fprintf(w, "  %-8s", r.Benchmark)
-				for field, n := range r.Result.ByField {
-					fmt.Fprintf(w, " %s:%d", field, n)
+				for _, field := range fields {
+					if n := r.Result.ByField[field]; n > 0 {
+						fmt.Fprintf(w, " %s:%d", field, n)
+					}
 				}
 				fmt.Fprintln(w)
 			}

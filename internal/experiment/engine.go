@@ -49,8 +49,9 @@ type Engine struct {
 	budget   fault.Budget
 	manifest Manifest
 	// Summed over campaigns: the pilot snapshot series' machine state and
-	// the golden logs, in bytes.
-	snapshotStateBytes, goldenLogBytes int64
+	// the golden logs built, in bytes; goldenPeakBytes is the most one
+	// campaign's log held at once (campaign pools run one at a time).
+	snapshotStateBytes, goldenLogBytes, goldenPeakBytes int64
 }
 
 // addCampaign folds one campaign's decided-outcome accounting and resident
@@ -62,6 +63,7 @@ func (e *Engine) addCampaign(r fault.CampaignResult) {
 	e.budget.Merge(r.Budget)
 	e.snapshotStateBytes += r.SnapshotStateBytes
 	e.goldenLogBytes += r.GoldenLogBytes
+	e.goldenPeakBytes = max(e.goldenPeakBytes, r.GoldenPeakBytes)
 }
 
 // New builds an engine for spec writing to out (tables) and errw
@@ -154,6 +156,17 @@ func (e *Engine) registerMetrics() {
 	e.reg.RegisterCounter("itr_injection_cycles_simulated_total", &e.camp.CyclesSimulated)
 	e.reg.RegisterCounter("itr_verify_cycles_simulated_total", &e.camp.VerifyCyclesSimulated)
 	e.reg.RegisterCounter("itr_injection_cycles_saved_total", &e.camp.CyclesSaved)
+	e.reg.RegisterCounter("itr_pilot_cycles_total", &e.camp.PilotCycles)
+	e.reg.RegisterCounter("itr_pilot_wall_ns_total", &e.camp.PilotNanos)
+	e.reg.RegisterCounter("itr_pilot_snapshots_total", &e.camp.PilotSnapshots)
+	e.reg.RegisterCounter("itr_extension_cycles_total", &e.camp.ExtensionCycles)
+	e.reg.RegisterCounter("itr_extension_snapshots_total", &e.camp.ExtensionSnapshots)
+	e.reg.RegisterCounter("itr_golden_entries_built_total", &e.camp.GoldenEntries)
+	e.reg.RegisterGaugeFunc("itr_golden_peak_bytes", func() int64 {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		return e.goldenPeakBytes
+	})
 	e.reg.RegisterGaugeFunc("itr_uptime_seconds", func() int64 {
 		return int64(time.Since(e.started).Seconds())
 	})
@@ -335,12 +348,19 @@ func (e *Engine) telemetrySnapshot() Telemetry {
 	t.InjectionCyclesSimulated = e.camp.CyclesSimulated.Load()
 	t.VerifyCyclesSimulated = e.camp.VerifyCyclesSimulated.Load()
 	t.InjectionCyclesSaved = e.camp.CyclesSaved.Load()
+	t.PilotCycles = e.camp.PilotCycles.Load()
+	t.PilotWallNs = e.camp.PilotNanos.Load()
+	t.PilotSnapshots = e.camp.PilotSnapshots.Load()
+	t.ExtensionCycles = e.camp.ExtensionCycles.Load()
+	t.ExtensionSnapshots = e.camp.ExtensionSnapshots.Load()
+	t.GoldenEntriesBuilt = e.camp.GoldenEntries.Load()
 	e.mu.Lock()
 	t.InjectionsDecidedEarly = e.budget.DecidedEarly
 	t.VerifyRunsForked = e.budget.VerifyForked
 	t.ProofFallbacks = e.budget.ProofFallbacks
 	t.SnapshotStateBytes = e.snapshotStateBytes
 	t.GoldenLogBytes = e.goldenLogBytes
+	t.GoldenPeakBytes = e.goldenPeakBytes
 	if len(e.budget.ByClass) > 0 {
 		t.CyclesSavedByClass = make(map[string]int64, len(e.budget.ByClass))
 		for cat, cb := range e.budget.ByClass {

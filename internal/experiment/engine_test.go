@@ -132,6 +132,44 @@ func TestEngineFaultRun(t *testing.T) {
 	if m.WallClockSeconds <= 0 {
 		t.Errorf("wallClockSeconds = %v; want > 0", m.WallClockSeconds)
 	}
+	// The fault-free prefix is attributed on its own: the pilot runs the
+	// whole window, and the golden log releases what it no longer needs.
+	if tl.PilotCycles != 20_000 || tl.PilotWallNs <= 0 || tl.PilotSnapshots <= 0 {
+		t.Errorf("pilot telemetry: %d cycles, %d ns, %d snapshots", tl.PilotCycles, tl.PilotWallNs, tl.PilotSnapshots)
+	}
+	if tl.CyclesSimulated != tl.PilotCycles+tl.ExtensionCycles+tl.InjectionCyclesSimulated {
+		t.Errorf("cycles %d != pilot %d + extension %d + injections %d",
+			tl.CyclesSimulated, tl.PilotCycles, tl.ExtensionCycles, tl.InjectionCyclesSimulated)
+	}
+	if tl.GoldenEntriesBuilt <= 0 || tl.GoldenPeakBytes <= 0 || tl.GoldenPeakBytes > tl.GoldenLogBytes {
+		t.Errorf("golden telemetry: %d entries, %d B built, %d B peak", tl.GoldenEntriesBuilt, tl.GoldenLogBytes, tl.GoldenPeakBytes)
+	}
+}
+
+// TestFaultFieldsDigestStable: the -fields tally prints in Table 2 order,
+// so two identical runs hash to the same campaign stage digest.
+func TestFaultFieldsDigestStable(t *testing.T) {
+	var digests []string
+	for run := 0; run < 2; run++ {
+		spec := Spec{
+			Kind:         "fault",
+			Bench:        "art",
+			Campaign:     &CampaignSpec{Faults: 12, Window: 20_000, Fields: true},
+			ManifestPath: "none",
+		}
+		var out, errw bytes.Buffer
+		eng := New(spec, &out, &errw)
+		if err := eng.Run(); err != nil {
+			t.Fatalf("engine run: %v\nstderr: %s", err, errw.String())
+		}
+		if !strings.Contains(out.String(), "Injections by Table 2 field:") {
+			t.Fatalf("no field tally in output:\n%s", out.String())
+		}
+		digests = append(digests, eng.Manifest().Stages[0].OutputDigest)
+	}
+	if digests[0] != digests[1] {
+		t.Fatalf("campaign stage digests differ across identical -fields runs: %v", digests)
+	}
 }
 
 // TestEngineManifestNone checks "-manifest none" leaves no file behind.

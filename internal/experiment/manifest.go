@@ -140,12 +140,27 @@ type Telemetry struct {
 	// CyclesSavedByClass breaks InjectionCyclesSaved down by Figure 8
 	// outcome category.
 	CyclesSavedByClass map[string]int64 `json:"cyclesSavedByClass,omitempty"`
+	// The Figure 8 fault-free prefix, summed over campaigns: PilotCycles
+	// and PilotWallNs are the pilots' simulated cycles and the prefixes'
+	// wall time (pilot, sampling and extension); PilotSnapshots counts the
+	// snapshots pilots captured before their horizon, ExtensionSnapshots
+	// and ExtensionCycles what the extensions past it captured and
+	// simulated. Pilot and extension cycles are part of CyclesSimulated.
+	PilotCycles        int64 `json:"pilotCycles,omitempty"`
+	PilotWallNs        int64 `json:"pilotWallNs,omitempty"`
+	PilotSnapshots     int64 `json:"pilotSnapshots,omitempty"`
+	ExtensionCycles    int64 `json:"extensionCycles,omitempty"`
+	ExtensionSnapshots int64 `json:"extensionSnapshots,omitempty"`
 	// SnapshotStateBytes sums, over campaigns, the machine state the
 	// retained pilot snapshots hold beside their copy-on-write memory pages
-	// (cache lines, predictor tables, ROB columns); GoldenLogBytes sums the
-	// resident size of the fault-free commit logs.
+	// (cache lines, predictor tables, ROB columns). GoldenEntriesBuilt and
+	// GoldenLogBytes sum the fault-free commit-log entries built and their
+	// chunks' size; GoldenPeakBytes is the most one campaign's log held
+	// resident at once.
 	SnapshotStateBytes int64 `json:"snapshotStateBytes,omitempty"`
+	GoldenEntriesBuilt int64 `json:"goldenEntriesBuilt,omitempty"`
 	GoldenLogBytes     int64 `json:"goldenLogBytes,omitempty"`
+	GoldenPeakBytes    int64 `json:"goldenPeakBytes,omitempty"`
 }
 
 // Version returns a git-describe-style identifier for the running build:

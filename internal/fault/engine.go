@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"itr/internal/core"
 	"itr/internal/obs"
@@ -30,12 +31,19 @@ type engine struct {
 	cfg     Config
 	seed    uint64
 	stream  *GoldenStream
-	logged  int64 // pilot commits; pool logs them once pruned snapshots are collected
 	workers int
+	prefix  prefixStats
 
 	tracer          *obs.Tracer // Figure 8 only, like the fields below
 	observe, verify *source
 	oracle          *SigOracle
+}
+
+// prefixStats accounts the fault-free prefix: cycles simulated and snapshots
+// captured by pilots, and by horizon extensions past them.
+type prefixStats struct {
+	pilotCycles, extensionCycles int64
+	pilotSnaps, extensionSnaps   int
 }
 
 func newEngine(prog *program.Program, cfg Config, seed uint64) *engine {
@@ -45,37 +53,99 @@ func newEngine(prog *program.Program, cfg Config, seed uint64) *engine {
 // source is one machine configuration legs run on, with the pilot snapshots
 // that restore into it (ascending; none means every leg starts cold).
 type source struct {
-	cfg   pipeline.Config
-	snaps []*pipeline.Snapshot
+	cfg    pipeline.Config
+	window int64 // the capture loop's cycle bound
+	snaps  []*pipeline.Snapshot
+	open   bool // the capture loop stopped at a horizon; extend may continue it
 }
 
-// pilot runs prog fault-free under pcfg for up to cycles cycles, capturing a
-// snapshot every snapshot-interval decode events, and returns their source
-// and the fault-free Result.
-func (e *engine) pilot(pcfg pipeline.Config, cycles int64) (*source, pipeline.Result, error) {
-	run := pcfg
+// newSource is an empty source for pcfg whose capture loop has not started.
+func (e *engine) newSource(pcfg pipeline.Config, window int64) *source {
+	return &source{cfg: pcfg, window: window, open: e.cfg.EffectiveSnapshotInterval() > 0}
+}
+
+// pilotCPU builds a fault-free machine for src's capture loop.
+func (e *engine) pilotCPU(src *source) (*pipeline.CPU, error) {
+	run := src.cfg
 	if e.tracer != nil {
 		run.Trace = e.tracer.Ring("fault-pilot")
 	}
 	cpu, err := pipeline.New(e.prog, run)
 	if err != nil {
-		return nil, pipeline.Result{}, fmt.Errorf("pilot: %w", err)
+		return nil, fmt.Errorf("pilot: %w", err)
 	}
-	src := &source{cfg: pcfg}
+	return cpu, nil
+}
+
+// pilot runs prog fault-free under pcfg for up to cycles cycles, capturing a
+// snapshot every snapshot-interval decode events until cycle horizon, and
+// returns their source and the fault-free Result. Past the horizon it only
+// runs on: the Result covers the whole window, whose decode count sets the
+// injection sampling range.
+func (e *engine) pilot(pcfg pipeline.Config, cycles, horizon int64) (*source, pipeline.Result, error) {
+	src := e.newSource(pcfg, cycles)
+	cpu, err := e.pilotCPU(src)
+	if err != nil {
+		return nil, pipeline.Result{}, err
+	}
+	res := e.capture(src, cpu, func(cpu *pipeline.CPU) bool { return cpu.CycleCount() < horizon })
+	if src.open {
+		res = cpu.Run(cycles - cpu.CycleCount())
+	}
+	e.prefix.pilotCycles += cpu.CycleCount()
+	e.prefix.pilotSnaps += len(src.snaps)
+	return src, res, nil
+}
+
+// capture runs the pilot's capture loop on cpu from where it stands: it
+// stops every snapshot-interval decode events and snapshots each stop want
+// accepts, until the window ends, the machine terminates, or want declines
+// a stop, which leaves src open at its last snapshot.
+func (e *engine) capture(src *source, cpu *pipeline.CPU, want func(cpu *pipeline.CPU) bool) pipeline.Result {
 	interval := e.cfg.EffectiveSnapshotInterval()
-	var res pipeline.Result
-	for next := interval; ; next = cpu.DecodeEvents() + interval {
-		if interval == 0 {
-			next = -1
+	src.open = false
+	if interval == 0 {
+		return cpu.Run(src.window - cpu.CycleCount())
+	}
+	for {
+		res := cpu.RunUntilDecode(src.window-cpu.CycleCount(), cpu.DecodeEvents()+interval)
+		if res.Termination != pipeline.TermBudget || cpu.CycleCount() >= src.window {
+			return res
 		}
-		res = cpu.RunUntilDecode(cycles-cpu.CycleCount(), next)
-		if res.Termination != pipeline.TermBudget || cpu.CycleCount() >= cycles {
-			break
+		if !want(cpu) {
+			src.open = true
+			return res
 		}
 		src.snaps = append(src.snaps, cpu.Snapshot())
 	}
-	e.logged = max(e.logged, res.Committed)
-	return src, res, nil
+}
+
+// extend continues an open source's capture loop past its horizon until it
+// holds the snapshot last resumes from. It restarts from the last snapshot
+// (the cycle-0 image when there is none) and captures exactly the snapshots
+// an uninterrupted pilot would have, since a restore resumes bit-for-bit.
+func (e *engine) extend(src *source, last target) error {
+	n := len(src.snaps)
+	if !src.open || n > 0 && !last.precedes(src.snaps[n-1]) {
+		return nil
+	}
+	cpu, err := e.pilotCPU(src)
+	if err != nil {
+		return err
+	}
+	if n > 0 {
+		if err := cpu.Restore(src.snaps[n-1]); err != nil {
+			return fmt.Errorf("pilot extension: %w", err)
+		}
+	}
+	from := cpu.CycleCount()
+	e.capture(src, cpu, func(cpu *pipeline.CPU) bool {
+		// The snapshot this stop would take, by position only.
+		return last.precedes(&pipeline.Snapshot{Cycle: cpu.CycleCount(), DecodeEvents: cpu.DecodeEvents(), Committed: cpu.CommittedInsts()})
+	})
+	e.prefix.extensionCycles += cpu.CycleCount() - from
+	e.prefix.extensionSnaps += len(src.snaps) - n
+	return nil
 }
 
 // nearest returns the index of the latest snapshot before t's fault, or -1.
@@ -83,19 +153,101 @@ func nearest(snaps []*pipeline.Snapshot, t target) int {
 	return sort.Search(len(snaps), func(i int) bool { return !t.precedes(snaps[i]) }) - 1
 }
 
-// prune drops the snapshots no target resumes from.
-func prune[T target](src *source, ts []T) {
-	used := make(map[int]bool)
-	for _, t := range ts {
-		used[nearest(src.snaps, t)] = true
-	}
-	var kept []*pipeline.Snapshot
-	for i, s := range src.snaps {
-		if used[i] {
-			kept = append(kept, s)
+// schedule is a pool's dispatch plan. Every item's resume snapshot on each
+// source is resolved once and reference-counted, and items dispatch in
+// resume order, so the snapshots and golden-log chunks behind the in-flight
+// frontier can be released as the pool drains.
+type schedule struct {
+	srcs  []*source
+	at    [][]int          // at[s][i]: item i's snapshot index in srcs[s], or -1 (cold)
+	refs  [][]atomic.Int32 // items still to finish per snapshot
+	order []int            // item indices in dispatch order
+	floor []int64          // floor[k]: lowest resume commit of order[k:]
+}
+
+// plan resolves items against srcs and releases the snapshots no item
+// resumes from.
+func plan[T target](srcs []*source, items []T) *schedule {
+	sch := &schedule{srcs: srcs, at: make([][]int, len(srcs)), refs: make([][]atomic.Int32, len(srcs))}
+	for s, src := range srcs {
+		sch.at[s] = make([]int, len(items))
+		sch.refs[s] = make([]atomic.Int32, len(src.snaps))
+		for i, t := range items {
+			k := nearest(src.snaps, t)
+			sch.at[s][i] = k
+			if k >= 0 {
+				sch.refs[s][k].Add(1)
+			}
 		}
 	}
-	src.snaps = kept
+	// A target's snapshot index is monotone in its fault point on every
+	// source, so this order is a resume order on each of them.
+	sch.order = make([]int, len(items))
+	for i := range sch.order {
+		sch.order[i] = i
+	}
+	sort.SliceStable(sch.order, func(a, b int) bool {
+		for s := range srcs {
+			if x, y := sch.at[s][sch.order[a]], sch.at[s][sch.order[b]]; x != y {
+				return x < y
+			}
+		}
+		return false
+	})
+	sch.floor = make([]int64, len(items)+1)
+	sch.floor[len(items)] = 1<<63 - 1
+	for k := len(items) - 1; k >= 0; k-- {
+		sch.floor[k] = sch.floor[k+1]
+		for s, src := range srcs {
+			c := int64(0)
+			if j := sch.at[s][sch.order[k]]; j >= 0 {
+				c = src.snaps[j].Committed
+			}
+			sch.floor[k] = min(sch.floor[k], c)
+		}
+	}
+	for s, src := range srcs {
+		for k := range src.snaps {
+			if sch.refs[s][k].Load() == 0 {
+				src.snaps[k] = nil
+			}
+		}
+	}
+	return sch
+}
+
+// retained returns the snapshots of src that some item resumes from.
+func retained(src *source) []*pipeline.Snapshot {
+	var out []*pipeline.Snapshot
+	for _, s := range src.snaps {
+		if s != nil {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// resume returns item i's snapshot on each source (nil: cold).
+func (sch *schedule) resume(i int) ([]*pipeline.Snapshot, error) {
+	from := make([]*pipeline.Snapshot, len(sch.srcs))
+	for s, src := range sch.srcs {
+		if j := sch.at[s][i]; j >= 0 {
+			if from[s] = src.snaps[j]; from[s] == nil {
+				return nil, fmt.Errorf("snapshot %d released before its last injection", j)
+			}
+		}
+	}
+	return from, nil
+}
+
+// done drops item i's snapshot references, releasing each snapshot with its
+// last.
+func (sch *schedule) done(i int) {
+	for s, src := range sch.srcs {
+		if j := sch.at[s][i]; j >= 0 && sch.refs[s][j].Add(-1) == 0 {
+			src.snaps[j] = nil
+		}
+	}
 }
 
 // arena holds one worker's machines, one per source, each with its cycle-0
@@ -127,9 +279,9 @@ type legRun struct {
 }
 
 // leg is the engine's one way to run an injection. It resets the worker's
-// machine for src to from — when nil, to the latest snapshot of src before
-// t's fault point, else the cycle-0 image — attaches a golden cursor there,
-// clears the previous leg's hooks, and lets t arm its fault and run.
+// machine for src to from (the cycle-0 image when nil), attaches a golden
+// cursor there, clears the previous leg's hooks, and lets t arm its fault
+// and run.
 func (a *arena) leg(e *engine, src *source, t target, from *pipeline.Snapshot) (*legRun, error) {
 	m := a.machines[src]
 	if m == nil {
@@ -147,13 +299,9 @@ func (a *arena) leg(e *engine, src *source, t target, from *pipeline.Snapshot) (
 		}
 		a.machines[src] = m
 	}
-	r := &legRun{cpu: m.cpu, from: from, resumed: true, full: src.cfg.ITRMode == core.ModeFull}
+	r := &legRun{cpu: m.cpu, from: from, resumed: from != nil, full: src.cfg.ITRMode == core.ModeFull}
 	if from == nil {
-		if i := nearest(src.snaps, t); i >= 0 {
-			r.from = src.snaps[i]
-		} else {
-			r.from, r.resumed = m.zero, false
-		}
+		r.from = m.zero
 	}
 	if err := m.cpu.Restore(r.from); err != nil {
 		return nil, err
@@ -166,17 +314,32 @@ func (a *arena) leg(e *engine, src *source, t target, from *pipeline.Snapshot) (
 	return r, t.run(e, r)
 }
 
-// pool runs do(a, i) for every item on e.workers goroutines, each owning an
-// arena; results land by index, so they are identical at any width. It
-// returns the lowest-indexed error, naming the program, seed and injection.
-func pool[T target](e *engine, items []T, do func(a *arena, i int) error) error {
-	if e.logged > 0 {
-		runtime.GC() // the pruned snapshot series and the log are never resident together
-		e.stream.ensure(int(e.logged) - 1)
-	}
+// pool runs do(a, i, from) for every item of sch on e.workers goroutines,
+// each owning an arena, where from holds item i's snapshot per source.
+// Items dispatch in resume order; a finished item releases its snapshots
+// and lets the golden log drop what lies behind the oldest unfinished one.
+// Results land by index, so they are identical at any width. It returns the
+// lowest-indexed error, naming the program, seed and injection; a panicking
+// item is such an error.
+func pool[T target](e *engine, sch *schedule, items []T, do func(a *arena, i int, from []*pipeline.Snapshot) error) error {
+	e.stream.release(sch.floor[0])
 	workers := min(e.workers, len(items))
 	errs := make([]error, len(items))
 	work := make(chan int)
+	var mu sync.Mutex
+	finished, low := make([]bool, len(items)), 0
+	run := func(a *arena, i int) (err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				err = fmt.Errorf("panic: %v", p)
+			}
+		}()
+		from, err := sch.resume(i)
+		if err != nil {
+			return err
+		}
+		return do(a, i, from)
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		a := &arena{shard: uint32(w)}
@@ -186,13 +349,23 @@ func pool[T target](e *engine, items []T, do func(a *arena, i int) error) error 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range work {
-				errs[i] = do(a, i)
+			for k := range work {
+				i := sch.order[k]
+				errs[i] = run(a, i)
+				sch.done(i)
+				mu.Lock()
+				finished[k] = true
+				for low < len(items) && finished[low] {
+					low++
+				}
+				floor := sch.floor[low]
+				mu.Unlock()
+				e.stream.release(floor)
 			}
 		}()
 	}
-	for i := range items {
-		work <- i
+	for k := range sch.order {
+		work <- k
 	}
 	close(work)
 	wg.Wait()
@@ -206,10 +379,9 @@ func pool[T target](e *engine, items []T, do func(a *arena, i int) error) error 
 
 // study runs one leg per fault on src and returns each leg's verdict.
 func study[T target, V any](e *engine, src *source, faults []T, verdict func(r *legRun) V) ([]V, error) {
-	prune(src, faults)
 	out := make([]V, len(faults))
-	return out, pool(e, faults, func(a *arena, i int) error {
-		r, err := a.leg(e, src, faults[i], nil)
+	return out, pool(e, plan([]*source{src}, faults), faults, func(a *arena, i int, from []*pipeline.Snapshot) error {
+		r, err := a.leg(e, src, faults[i], from[0])
 		if err == nil {
 			out[i] = verdict(r)
 		}

@@ -206,19 +206,17 @@ func DefaultConfig() Config {
 func RunOne(prog *program.Program, oracle *SigOracle, cfg Config, inj Injection) (Detail, error) {
 	e := newEngine(prog, cfg, 0)
 	e.oracle = oracle
-	e.decodeSources(nil)
-	return e.runOne(&arena{}, inj, &runBudget{})
+	e.decodeSources(e.newSource(cfg.pipelineConfig(core.ModeObserve), cfg.WindowCycles))
+	return e.runOne(&arena{}, inj, nil, &runBudget{})
 }
 
-// decodeSources sets the Figure 8 machines. Verify legs resume from observe
-// snapshots except under checkpointing, whose prefix they cannot reproduce.
-func (e *engine) decodeSources(snaps []*pipeline.Snapshot) {
-	e.observe = &source{cfg: e.cfg.pipelineConfig(core.ModeObserve), snaps: snaps}
-	e.verify = &source{cfg: e.cfg.pipelineConfig(core.ModeFull)}
+// decodeSources sets the Figure 8 machines: observe legs run on the
+// observe pilot's source, and verify legs on a full-protocol machine that
+// restores the same snapshots.
+func (e *engine) decodeSources(observe *source) {
+	e.observe = observe
+	e.verify = &source{cfg: e.cfg.pipelineConfig(core.ModeFull), window: observe.window}
 	e.verify.cfg.CheckpointEnabled = e.cfg.Checkpoint
-	if !e.cfg.Checkpoint {
-		e.verify.snaps = snaps
-	}
 }
 
 // decodeBit is the Figure 8 target: flip Bit of the decode signals of
@@ -260,11 +258,14 @@ func (d decodeBit) run(e *engine, r *legRun) error {
 	return nil
 }
 
-// runOne performs one Figure 8 injection: an observe leg, then, for detected
-// faults, a verify leg. bud receives the legs' cycle accounting.
-func (e *engine) runOne(a *arena, inj Injection, bud *runBudget) (Detail, error) {
+// runOne performs one Figure 8 injection: an observe leg resumed from from
+// (cold when nil), then, for detected faults, a verify leg. Verify resumes
+// from the observe leg's pre-fault fork, else from the same snapshot, except
+// under checkpointing, whose prefix it cannot reproduce. bud receives the
+// legs' cycle accounting.
+func (e *engine) runOne(a *arena, inj Injection, from *pipeline.Snapshot, bud *runBudget) (Detail, error) {
 	det := Detail{Injection: inj, LatencyCycles: -1, LatencyInsts: -1}
-	r, err := a.leg(e, e.observe, decodeBit(inj), nil)
+	r, err := a.leg(e, e.observe, decodeBit(inj), from)
 	if err != nil {
 		return det, fmt.Errorf("observe run: %w", err)
 	}
@@ -302,7 +303,11 @@ func (e *engine) runOne(a *arena, inj Injection, bud *runBudget) (Detail, error)
 	if !e.cfg.Verify || !det.Detected {
 		return det, nil
 	}
-	v, err := a.leg(e, e.verify, decodeBit(inj), r.fork)
+	vfrom := r.fork
+	if vfrom == nil && !e.cfg.Checkpoint {
+		vfrom = from
+	}
+	v, err := a.leg(e, e.verify, decodeBit(inj), vfrom)
 	if err != nil {
 		return det, fmt.Errorf("verify run: %w", err)
 	}

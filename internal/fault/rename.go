@@ -116,7 +116,7 @@ func runRenameStudy(prog *program.Program, cfg Config, n int, seed uint64) ([]re
 		return nil, nil, fmt.Errorf("rename campaign: non-positive count %d", n)
 	}
 	e := newEngine(prog, cfg, seed)
-	base, ref, err := e.pilot(cfg.pipelineConfig(core.ModeObserve), cfg.WindowCycles)
+	base, ref, err := e.pilot(cfg.pipelineConfig(core.ModeObserve), cfg.WindowCycles, cfg.WindowCycles/2)
 	if err != nil {
 		return nil, nil, fmt.Errorf("rename campaign %w", err)
 	}
@@ -125,28 +125,34 @@ func runRenameStudy(prog *program.Program, cfg Config, n int, seed uint64) ([]re
 	}
 	rng := stats.NewRNG(seed)
 	faults := make([]renameIndex, n)
+	var last renameIndex
 	for i := range faults {
 		faults[i].DecodeIndex = decodeSample(rng, ref.DecodeEvents)
 		faults[i].Operand = rng.Intn(3)
 		faults[i].Mask = uint8(1 + rng.Intn(31))
+		last.DecodeIndex = max(last.DecodeIndex, faults[i].DecodeIndex)
 	}
-	prune(base, faults)
-	ecfg := cfg.pipelineConfig(core.ModeFull)
-	ecfg.RenameITREnabled = true
-	ext, _, err := e.pilot(ecfg, cfg.WindowCycles)
-	if err != nil {
+	if err := e.extend(base, last); err != nil {
 		return nil, nil, fmt.Errorf("rename campaign %w", err)
 	}
-	prune(ext, faults)
+	// The extended machine's pilot only supplies snapshots: it stops once it
+	// holds the one the latest fault resumes from.
+	ecfg := cfg.pipelineConfig(core.ModeFull)
+	ecfg.RenameITREnabled = true
+	ext := e.newSource(ecfg, cfg.WindowCycles)
+	if err := e.extend(ext, last); err != nil {
+		return nil, nil, fmt.Errorf("rename campaign %w", err)
+	}
 	verdicts := make([]renameVerdict, n)
-	return faults, verdicts, pool(e, faults, func(a *arena, i int) error {
-		r, err := a.leg(e, base, faults[i], nil)
+	sch := plan([]*source{base, ext}, faults)
+	return faults, verdicts, pool(e, sch, faults, func(a *arena, i int, from []*pipeline.Snapshot) error {
+		r, err := a.leg(e, base, faults[i], from[0])
 		if err != nil {
 			return err
 		}
 		v := &verdicts[i]
 		v.withoutSDC, v.frontendDetected = r.cur.diverged, len(r.cpu.Detector().Detections()) > 0
-		if r, err = a.leg(e, ext, faults[i], nil); err != nil {
+		if r, err = a.leg(e, ext, faults[i], from[1]); err != nil {
 			return err
 		}
 		st := r.cpu.RenameChecker().Stats()

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"fmt"
 	"sync"
 	"unsafe"
 
@@ -88,19 +89,27 @@ func (c *goldenCols) same(j int, o *isa.Outcome) bool {
 // shared read-only by every injection leg: a cursor walks it and compares
 // each committed outcome, instead of a reference re-executing per run.
 //
-// The stream extends itself lazily under a mutex, since a faulty machine
-// can commit more instructions inside its window than the pilot did.
-// Extension is safe at any index: the reference executes from the program's
-// decode table, which yields halt signals beyond the program image.
+// The stream extends itself lazily, a whole chunk at a time under a mutex,
+// as legs read past its end; a faulty machine can even commit more
+// instructions inside its window than the pilot did. Extension is safe at
+// any index: the reference executes from the program's decode table, which
+// yields halt signals beyond the program image. A pool raises the stream's
+// floor to its oldest unfinished leg's resume commit, and the chunks no leg
+// from there on can read are released, or never stored.
 type GoldenStream struct {
 	tab   *program.DecodeTable
 	entry uint64
 
-	mu     sync.Mutex // guards all below
-	st     isa.ArchState
-	out    isa.Outcome   // ExecInto scratch
-	chunks []*goldenCols // goldenChunk entries each, so growth never copies
-	n      int           // entries computed
+	mu       sync.Mutex // guards all below
+	st       isa.ArchState
+	out      isa.Outcome   // ExecInto scratch
+	chunks   []*goldenCols // goldenChunk entries each, so growth never copies; nil once released
+	n        int           // entries computed
+	floor    int64         // lowest commit a leg may still resume from
+	dropped  int           // chunks below this index are released
+	stored   int64         // chunks allocated, each filled whole
+	resident int64         // bytes of the chunks held
+	peak     int64         // most bytes held at once
 }
 
 // goldenView is an immutable prefix of the log: its first n entries.
@@ -130,33 +139,68 @@ func NewGoldenStream(prog *program.Program) *GoldenStream {
 	return s
 }
 
-// ensure grows the log so index n exists and returns the current prefix;
-// growth never writes inside an earlier view, so views need no lock.
+// needed reports whether chunk c holds an entry a leg resuming at the floor
+// or later can read: entries from its resume commit on, and the one before
+// it for the resume PC.
+func (s *GoldenStream) needed(c int) bool { return int64(c+1)*goldenChunk >= s.floor }
+
+// ensure grows the log through the chunk holding index n and returns the
+// current prefix; growth never writes inside an earlier view, so views need
+// no lock.
 func (s *GoldenStream) ensure(n int) goldenView {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for ; s.n <= n; s.n++ {
-		j := s.n % goldenChunk
+	for end := (n/goldenChunk + 1) * goldenChunk; s.n < end; s.n++ {
+		c, j := s.n/goldenChunk, s.n%goldenChunk
 		if j == 0 {
-			s.chunks = append(s.chunks, new(goldenCols))
+			var cols *goldenCols
+			if s.needed(c) {
+				cols = new(goldenCols)
+				s.stored++
+				s.resident += goldenChunkBytes
+				s.peak = max(s.peak, s.resident)
+			}
+			s.chunks = append(s.chunks, cols)
 		}
 		s.st.ExecInto(&s.out, s.tab.Signals(s.st.PC), s.st.PC)
 		s.st.ApplyRef(&s.out)
-		s.chunks[len(s.chunks)-1].put(j, &s.out)
+		if cols := s.chunks[c]; cols != nil {
+			cols.put(j, &s.out)
+		}
 	}
 	return goldenView{s.chunks, s.n, s.entry}
 }
 
-// residentBytes is the log's size in memory: whole chunks, allocated as it
-// grows.
-func (s *GoldenStream) residentBytes() int64 {
+// release raises the floor to commit from and drops the chunks below it.
+func (s *GoldenStream) release(from int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return int64(len(s.chunks)) * goldenChunkBytes
+	s.floor = max(s.floor, from)
+	for ; s.dropped < len(s.chunks) && !s.needed(s.dropped); s.dropped++ {
+		if s.chunks[s.dropped] != nil {
+			s.chunks[s.dropped] = nil
+			s.resident -= goldenChunkBytes
+		}
+	}
 }
 
-// cursor returns a reader positioned at commit index start.
+// footprint returns the entries stored so far, the bytes of the chunks
+// allocated for them, and the most bytes resident at once.
+func (s *GoldenStream) footprint() (entries, bytes, peak int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.stored * goldenChunk, s.stored * goldenChunkBytes, s.peak
+}
+
+// cursor returns a reader positioned at commit index start, which must not
+// lie below the floor.
 func (s *GoldenStream) cursor(start int) *goldenCursor {
+	s.mu.Lock()
+	floor := s.floor
+	s.mu.Unlock()
+	if int64(start) < floor {
+		panic(fmt.Sprintf("fault: golden log read at commit %d, below its release floor %d", start, floor))
+	}
 	return &goldenCursor{s: s, view: s.ensure(start), idx: start}
 }
 

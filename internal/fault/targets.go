@@ -94,12 +94,16 @@ func runPCStudy(prog *program.Program, cfg Config, n int, seed uint64) ([]fetchP
 	// excursions (fetching past the image returns halts).
 	bitRange := bits.Len64(uint64(prog.Len())) + 1
 	faults := make([]fetchPC, n)
+	horizon := int64(0)
 	for i := range faults {
 		faults[i].bit = rng.Intn(bitRange)
 		faults[i].cycle = 1 + int64(rng.Uint64n(uint64(cfg.WindowCycles/2)))
+		horizon = max(horizon, faults[i].cycle)
 	}
+	// The faults are drawn up front, so the pilot captures nothing at or
+	// past the latest; it still runs the window for the mispredict baseline.
 	e := newEngine(prog, cfg, seed)
-	src, ref, err := e.pilot(cfg.pipelineConfig(core.ModeObserve), cfg.WindowCycles)
+	src, ref, err := e.pilot(cfg.pipelineConfig(core.ModeObserve), cfg.WindowCycles, horizon)
 	if err != nil {
 		return nil, nil, fmt.Errorf("pc fault %w", err)
 	}
@@ -217,7 +221,7 @@ func runCacheStudy(prog *program.Program, cfg Config, parity bool, n int, seed u
 	e := newEngine(prog, cfg, seed)
 	pcfg := cfg.pipelineConfig(core.ModeFull)
 	pcfg.ITR.Parity = parity
-	src, _, err := e.pilot(pcfg, warm)
+	src, _, err := e.pilot(pcfg, warm, warm)
 	if err != nil {
 		return nil, nil, fmt.Errorf("cache fault %w", err)
 	}

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"testing"
+	"unsafe"
 
 	"itr/internal/core"
 	"itr/internal/isa"
@@ -432,6 +433,14 @@ func TestPredictorUnconditionalAlwaysTaken(t *testing.T) {
 	next, taken := pr.Predict(7)
 	if !taken || next != 1234 {
 		t.Fatalf("uncond predict = %d taken=%v", next, taken)
+	}
+}
+
+// TestBTBEntryPacked pins the BTB entry layout: every snapshot copies the
+// whole table.
+func TestBTBEntryPacked(t *testing.T) {
+	if got := unsafe.Sizeof(btbEntry{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(btbEntry{}) = %d, want 32", got)
 	}
 }
 

@@ -29,12 +29,13 @@ type Predictor struct {
 	clock      uint64
 }
 
+// btbEntry keeps its flags last so it packs into 32 bytes.
 type btbEntry struct {
-	valid  bool
 	tag    uint64
 	target uint64
-	uncond bool
 	lru    uint64
+	valid  bool
+	uncond bool
 }
 
 // NewPredictor builds a predictor. btbEntries must be a power of two and

@@ -273,29 +273,61 @@ type Figure8Row struct {
 
 // Figure8 runs the Section 4 fault-injection campaign over the given
 // benchmarks (the paper uses the 11 coverage benchmarks plus an average).
-// Benchmarks fan out on the engine's pool; fault.RunCampaign has its own
-// per-injection pool (cfg.Workers), so campaigns that set cfg.Workers > 1
-// should pair it with an Engine{Workers: 1} — or vice versa — to avoid
-// oversubscription.
+// Each campaign's injections run on its own pool (cfg.Workers), one
+// campaign at a time in benchmark order, and the next benchmark's serial
+// fault-free prefix (fault.NewCampaign) runs alongside the current pool.
+// Engine.Workers does not apply. OnItem reports each benchmark's pool time
+// plus any wait for its prefix. The lowest-indexed error is returned once
+// no prefix is still running.
 func (e *Engine) Figure8(profiles []workload.Profile, cfg fault.CampaignConfig) ([]Figure8Row, error) {
-	rows := make([]Figure8Row, len(profiles))
-	err := e.forEach(len(profiles), func(i int) error {
-		p := profiles[i]
-		return e.item(p.Name, func() error {
+	type prefix struct {
+		c   *fault.Campaign
+		err error
+	}
+	start := func(p workload.Profile) <-chan prefix {
+		ch := make(chan prefix, 1)
+		go func() {
 			prog, err := workload.CachedProgram(p)
 			if err != nil {
-				return fmt.Errorf("%s: %w", p.Name, err)
+				ch <- prefix{err: fmt.Errorf("%s: %w", p.Name, err)}
+				return
 			}
-			res, err := fault.RunCampaign(p.Name, prog, cfg)
+			c, err := fault.NewCampaign(p.Name, prog, cfg)
+			if err != nil {
+				err = fmt.Errorf("%s: %w", p.Name, err)
+			}
+			ch <- prefix{c, err}
+		}()
+		return ch
+	}
+	rows := make([]Figure8Row, len(profiles))
+	var next <-chan prefix
+	if len(profiles) > 0 {
+		next = start(profiles[0])
+	}
+	for i, p := range profiles {
+		err := e.item(p.Name, func() error {
+			pre := <-next
+			next = nil
+			if pre.err != nil {
+				return pre.err
+			}
+			if i+1 < len(profiles) {
+				next = start(profiles[i+1])
+			}
+			res, err := pre.c.Run()
 			if err != nil {
 				return fmt.Errorf("%s: %w", p.Name, err)
 			}
 			rows[i] = Figure8Row{Benchmark: p.Name, Result: res}
 			return nil
 		})
-	})
-	if err != nil {
-		return nil, err
+		if err != nil {
+			if next != nil {
+				<-next
+			}
+			return nil, err
+		}
 	}
 	return rows, nil
 }
